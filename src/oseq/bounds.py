@@ -17,11 +17,11 @@ from .graph import palindrome_free_de_bruijn
 from .tuples import (
     TupleKind,
     count_tuples,
-    is_alternating,
     is_left_semi_symmetric,
     is_right_semi_symmetric,
     is_symmetric,
     is_uniform,
+    kind_predicate,
     all_tuples,
 )
 
@@ -147,33 +147,21 @@ class ExclusionAudit:
     parity_rule_holds: bool
 
 
+# Each audited vertex class is a tuple kind, read on the reversed word when
+# mirrored: a word is right-semi-symmetric exactly when its reversal is
+# left-semi-symmetric, and reversal keeps uniformity and alternation.
 _AUDIT_CLASSES = {
-    "uniform": lambda s: is_uniform(s),
-    "alternating": lambda s: is_alternating(s),
-    "symmetric-non-uniform": lambda s: is_symmetric(s) and not is_uniform(s),
+    "uniform": (TupleKind.UNIFORM, False),
+    "alternating": (TupleKind.ALTERNATING, False),
+    "symmetric-non-uniform": (TupleKind.SYMMETRIC_NON_UNIFORM, False),
     "non-uniform-left-semi-symmetric":
-        lambda s: is_left_semi_symmetric(s) and not is_uniform(s),
+        (TupleKind.NON_UNIFORM_LEFT_SEMI_SYMMETRIC, False),
     "non-uniform-right-semi-symmetric":
-        lambda s: is_right_semi_symmetric(s) and not is_uniform(s),
+        (TupleKind.NON_UNIFORM_LEFT_SEMI_SYMMETRIC, True),
     "non-uniform-non-alternating-left-semi-symmetric":
-        lambda s: (is_left_semi_symmetric(s) and not is_uniform(s)
-                   and not is_alternating(s)),
+        (TupleKind.NON_UNIFORM_NON_ALTERNATING_LEFT_SEMI_SYMMETRIC, False),
     "non-uniform-non-alternating-right-semi-symmetric":
-        lambda s: (is_right_semi_symmetric(s) and not is_uniform(s)
-                   and not is_alternating(s)),
-}
-
-# Mirror classes have the same cardinality as their left/right twin.
-_AUDIT_EXPECTED_KINDS = {
-    "uniform": TupleKind.UNIFORM,
-    "alternating": TupleKind.ALTERNATING,
-    "symmetric-non-uniform": TupleKind.SYMMETRIC_NON_UNIFORM,
-    "non-uniform-left-semi-symmetric": TupleKind.NON_UNIFORM_LEFT_SEMI_SYMMETRIC,
-    "non-uniform-right-semi-symmetric": TupleKind.NON_UNIFORM_LEFT_SEMI_SYMMETRIC,
-    "non-uniform-non-alternating-left-semi-symmetric":
-        TupleKind.NON_UNIFORM_NON_ALTERNATING_LEFT_SEMI_SYMMETRIC,
-    "non-uniform-non-alternating-right-semi-symmetric":
-        TupleKind.NON_UNIFORM_NON_ALTERNATING_LEFT_SEMI_SYMMETRIC,
+        (TupleKind.NON_UNIFORM_NON_ALTERNATING_LEFT_SEMI_SYMMETRIC, True),
 }
 
 
@@ -211,14 +199,14 @@ def empirical_exclusion_audit(k: int, n: int,
         if k % 2 == 1 and is_symmetric(vertex) and not is_uniform(vertex):
             if din % 2 == 0 or dout % 2 == 0:
                 parity_ok = False
-        for name, pred in _AUDIT_CLASSES.items():
-            if pred(vertex):
+        for name, (kind, mirrored) in _AUDIT_CLASSES.items():
+            if kind_predicate(kind)(vertex[::-1] if mirrored else vertex):
                 counts[name] += 1
                 class_degrees[name]["in"].add(din)
                 class_degrees[name]["out"].add(dout)
     expected = {
         name: count_tuples(kind, k, n - 1)
-        for name, kind in _AUDIT_EXPECTED_KINDS.items()
+        for name, (kind, _) in _AUDIT_CLASSES.items()
     }
     for name in counts:
         if counts[name] != expected[name]:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or parse problem, 2 construction failure,
-3 verification or table mismatch, 4 window not found.
+3 verification or table mismatch (locate too, on a file that is not
+orientable), 4 window not found.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .constructions import ConstructionRecipe, Method, generate
 from .errors import ConstructionError, DomainError, ResourceCapError
 from .sequences import (
     OrientableSequence,
+    parse_symbols,
     read_sequence_file,
     write_sequence_file,
 )
@@ -105,14 +107,6 @@ def _load_sequence(path: str, n_override: int | None = None,
     return parsed, n, k
 
 
-def _parse_window(raw: str, k: int) -> list[int]:
-    if k <= 10:
-        if not raw.isdigit():
-            raise ValueError("window must be contiguous digits for k <= 10")
-        return [int(c) for c in raw]
-    return [int(part) for part in raw.split(",")]
-
-
 def _cmd_generate(args) -> int:
     recipe = ConstructionRecipe(Method(args.method), args.k, args.n, t=args.t)
     try:
@@ -135,6 +129,10 @@ def _cmd_verify(args) -> int:
     if verdict.accepted:
         print(f"ok: k={k} n={n} period={parsed.period}")
         return EXIT_OK
+    return _report_rejection(verdict)
+
+
+def _report_rejection(verdict: oracle.VerifyResult) -> int:
     detail = verdict.message
     if verdict.i is not None:
         detail += f" (kind={verdict.kind}, i={verdict.i}, j={verdict.j})"
@@ -173,12 +171,15 @@ def _cmd_table(args) -> int:
 def _cmd_locate(args) -> int:
     parsed, n, k = _load_sequence(args.path)
     try:
-        window = _parse_window(args.window, k)
+        window = parse_symbols(args.window, k)
     except ValueError as exc:
         print(f"bad window: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    seq = OrientableSequence(k=k, n=n, period=parsed.period,
-                             symbols=np.asarray(parsed.symbols))
+    symbols = np.asarray(parsed.symbols)
+    verdict = oracle.verify(symbols, n, k)
+    if not verdict.accepted:
+        return _report_rejection(verdict)
+    seq = OrientableSequence(k=k, n=n, period=parsed.period, symbols=symbols)
     hit = oracle.locate(seq, window)
     if hit is None:
         print("not found")

@@ -31,10 +31,6 @@ from .graph import (
     circuit_to_sequence,
     component_edge_counts,
     eulerian_circuit,
-    is_antinegasymmetric,
-    is_antisymmetric,
-    is_balanced,
-    is_connected,
 )
 from .sequences import OrientableSequence
 from .tuples import ZkTuple, count_by_doubled_pseudoweight
@@ -64,37 +60,32 @@ class ConstructionRecipe:
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
-        k, n, t = self.k, self.n, self.t
-        if self.method is Method.END_DIFFERENCE:
-            if k < 3:
-                raise DomainError("end-difference construction needs k >= 3")
-            if n < 2:
-                raise DomainError("end-difference construction needs n >= 2")
-        elif self.method is Method.ODD_END_DIFFERENCE:
-            if k % 2 == 0:
-                raise DomainError("odd-end-difference construction needs odd k")
-            if k < 5:
-                raise DomainError("odd-end-difference construction needs k >= 5")
-            if n < 2:
-                raise DomainError("odd-end-difference construction needs n >= 2")
-        elif self.method is Method.BLOCK_END_DIFFERENCE:
-            if k < 5:
-                raise DomainError("block-end-difference construction needs k >= 5")
-            if n < 2:
-                raise DomainError("block-end-difference construction needs n >= 2")
-            if t is None or t < 1 or 2 * t > n:
-                raise DomainError(
-                    f"block width must satisfy 1 <= t <= n/2, got {t}")
-        elif self.method is Method.LEMPEL_LIFT:
-            if k < 3:
-                raise DomainError("lifted construction needs k >= 3")
-            if n < 3:
-                raise DomainError("lifted construction needs n >= 3")
-        if t is not None and self.method is not Method.BLOCK_END_DIFFERENCE:
+        _check_domain(self.method, self.k, self.n, self.t)
+        if self.t is not None and self.method is not Method.BLOCK_END_DIFFERENCE:
             raise DomainError("t applies only to the block-end-difference method")
         if self.beta != 1:
             # The lift is defined against the plain difference map.
             raise DomainError("only beta = 1 is supported in recipes")
+
+
+# Least k, least n, and whether k must be odd, for each construction.
+_DOMAINS = {
+    Method.END_DIFFERENCE: (3, 2, False),
+    Method.ODD_END_DIFFERENCE: (5, 2, True),
+    Method.BLOCK_END_DIFFERENCE: (5, 2, False),
+    Method.LEMPEL_LIFT: (3, 3, False),
+}
+
+
+def _check_domain(method: Method, k: int, n: int, t: int | None = None) -> None:
+    least_k, least_n, odd_only = _DOMAINS[method]
+    name = method.name.lower().replace("_", "-")
+    if k < least_k or n < least_n or (odd_only and k % 2 == 0):
+        parity = "odd " if odd_only else ""
+        raise DomainError(f"{name} construction needs {parity}k >= {least_k} "
+                          f"and n >= {least_n}, got k = {k}, n = {n}")
+    if method is Method.BLOCK_END_DIFFERENCE and (t is None or t < 1 or 2 * t > n):
+        raise DomainError(f"block width must satisfy 1 <= t <= n/2, got {t}")
 
 
 def _candidate_codes(k: int, n: int, cap: int | None) -> np.ndarray:
@@ -111,10 +102,7 @@ def end_difference_graph(k: int, n: int, cap: int | None = None) -> DBSubgraph:
     Defined for k >= 3; the result is disconnected for k in {3, 4} once
     n >= 3, which generate() reports rather than hides.
     """
-    if k < 3:
-        raise DomainError("end-difference graph needs k >= 3")
-    if n < 2:
-        raise DomainError("end-difference graph needs n >= 2")
+    _check_domain(Method.END_DIFFERENCE, k, n)
     codes = _candidate_codes(k, n, cap)
     diff = (codes % k - codes // k ** (n - 1)) % k
     mask = (diff >= 1) & (diff <= (k - 1) // 2)
@@ -123,12 +111,7 @@ def end_difference_graph(k: int, n: int, cap: int | None = None) -> DBSubgraph:
 
 def odd_end_difference_graph(k: int, n: int, cap: int | None = None) -> DBSubgraph:
     """Edges: n-tuples whose last-minus-first difference is odd modulo k."""
-    if k % 2 == 0:
-        raise DomainError("odd-end-difference graph needs odd k")
-    if k < 5:
-        raise DomainError("odd-end-difference graph needs k >= 5")
-    if n < 2:
-        raise DomainError("odd-end-difference graph needs n >= 2")
+    _check_domain(Method.ODD_END_DIFFERENCE, k, n)
     codes = _candidate_codes(k, n, cap)
     diff = (codes % k - codes // k ** (n - 1)) % k
     return DBSubgraph(k, n - 1, codes[diff % 2 == 1])
@@ -141,12 +124,7 @@ def block_end_difference_graph(k: int, n: int, t: int,
 
     t = 1 reduces to the plain end-difference rule.
     """
-    if k < 5:
-        raise DomainError("block-end-difference graph needs k >= 5")
-    if n < 2:
-        raise DomainError("block-end-difference graph needs n >= 2")
-    if t < 1 or 2 * t > n:
-        raise DomainError(f"block width must satisfy 1 <= t <= n/2, got {t}")
+    _check_domain(Method.BLOCK_END_DIFFERENCE, k, n, t)
     codes = _candidate_codes(k, n, cap)
     digits = _codes_to_digits(codes, k, n)
     diff = (digits[:, n - t:].sum(axis=1) - digits[:, :t].sum(axis=1)) % k
@@ -215,8 +193,6 @@ def lempel_lift(g: DBSubgraph, cap: int | None = None) -> DBSubgraph:
         _digits_to_codes((prefix + a) % k, k) for a in range(k)
     ])
     lifted.sort()
-    if np.unique(lifted).size != lifted.size:
-        raise InternalInvariantError("difference-map preimages collided")
     return DBSubgraph(k, length, lifted)
 
 
@@ -233,16 +209,7 @@ def _build_graph(recipe: ConstructionRecipe) -> DBSubgraph:
         return odd_end_difference_graph(recipe.k, recipe.n)
     if recipe.method is Method.BLOCK_END_DIFFERENCE:
         return block_end_difference_graph(recipe.k, recipe.n, recipe.t)
-    base = low_pseudoweight_graph(recipe.k, recipe.n - 1)
-    ok, witness = is_antinegasymmetric(base)
-    if not ok:
-        raise InternalInvariantError(
-            f"low-pseudoweight set is not antinegasymmetric: {witness}")
-    balanced, bad = is_balanced(base)
-    if not balanced:
-        raise InternalInvariantError(
-            f"low-pseudoweight set is not balanced at {bad[0]}")
-    return lempel_lift(base)
+    return lifted_low_pseudoweight_graph(recipe.k, recipe.n - 1)
 
 
 def expected_period(recipe: ConstructionRecipe) -> int:
@@ -269,31 +236,30 @@ def expected_period(recipe: ConstructionRecipe) -> int:
 
 
 def generate(recipe: ConstructionRecipe) -> OrientableSequence:
-    """Run a recipe end to end: build, certify, extract, verify.
+    """Run a recipe end to end: build, extract, spell, verify.
 
-    Certification failures that the constructions rule out raise
+    Each property of the edge set is checked once, by the step that owns
+    it.  The Eulerian walk shows balance and connectivity, and looks for
+    which one failed only when it cannot close.  verify() shows
+    antisymmetry, since the circuit spells every edge exactly once as a
+    window.  Failures that the constructions rule out raise
     InternalInvariantError; a disconnected edge set (possible for the
     end-difference family at k in {3, 4}) raises ConstructionError with
     the component report.
     """
     g = _build_graph(recipe)
-    ok, witness = is_antisymmetric(g)
-    if not ok:
-        raise InternalInvariantError(
-            f"constructed edge set is not antisymmetric: {witness}")
-    balanced, bad = is_balanced(g)
-    if not balanced:
-        raise InternalInvariantError(
-            f"constructed edge set is not balanced at {bad[0]}")
-    connected, ncomp = is_connected(g)
-    if not connected:
+    try:
+        circuit = eulerian_circuit(g)
+    except DomainError as exc:
         sizes = component_edge_counts(g)
+        if len(sizes) <= 1:
+            raise InternalInvariantError(
+                f"constructed edge set has no Eulerian circuit: {exc}") from exc
         raise ConstructionError(
-            f"edge set splits into {ncomp} strongly-connected components "
+            f"edge set splits into {len(sizes)} strongly-connected components "
             f"(edge counts {', '.join(map(str, sizes))}); "
             f"no single circuit covers it",
-            component_count=ncomp, component_edge_counts=sizes)
-    circuit = eulerian_circuit(g)
+            component_count=len(sizes), component_edge_counts=sizes) from exc
     symbols = circuit_to_sequence(circuit)
     verdict = oracle.verify(symbols, recipe.n, recipe.k)
     if not verdict.accepted:

@@ -84,21 +84,15 @@ def _digits_to_codes(digits: np.ndarray, k: int) -> np.ndarray:
     return codes
 
 
-def _reverse_codes(codes: np.ndarray, k: int, length: int) -> np.ndarray:
-    """Codes of the reversed words: reweight digits in opposite order."""
+def _reverse_codes(codes: np.ndarray, k: int, length: int,
+                   negate: bool = False) -> np.ndarray:
+    """Codes of the reversed words, each symbol negated modulo k if asked:
+    reweight digits in opposite order."""
     rev = np.zeros(codes.size, dtype=np.int64)
     rest = codes.astype(np.int64, copy=True)
     for _ in range(length):
-        rev = rev * k + rest % k
-        rest //= k
-    return rev
-
-
-def _negate_reverse_codes(codes: np.ndarray, k: int, length: int) -> np.ndarray:
-    rev = np.zeros(codes.size, dtype=np.int64)
-    rest = codes.astype(np.int64, copy=True)
-    for _ in range(length):
-        rev = rev * k + (k - rest % k) % k
+        digit = rest % k
+        rev = rev * k + ((k - digit) % k if negate else digit)
         rest //= k
     return rev
 
@@ -244,35 +238,33 @@ def palindrome_free_de_bruijn(k: int, order: int,
     return DBSubgraph(k, order, g.edges[g.edges != rev])
 
 
-def is_antisymmetric(g: DBSubgraph
-                     ) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+_Witness = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _free_of_reversals(g: DBSubgraph, negate: bool) -> tuple[bool, _Witness | None]:
+    length = g.order + 1
+    rev = _reverse_codes(g.edges, g.k, length, negate)
+    bad = np.intersect1d(g.edges, rev)
+    if bad.size == 0:
+        return True, None
+    c = int(bad[0])
+    partner = int(rev[np.searchsorted(g.edges, c)])
+    return False, (code_to_tuple(c, g.k, length), code_to_tuple(partner, g.k, length))
+
+
+def is_antisymmetric(g: DBSubgraph) -> tuple[bool, _Witness | None]:
     """No edge may appear together with its reversal.
 
     A palindromic edge violates this on its own and is its own witness.
     Returns (verdict, witness pair or None); the witness is the smallest
     offending edge paired with its reversal.
     """
-    rev = _reverse_codes(g.edges, g.k, g.order + 1)
-    bad = np.intersect1d(g.edges, rev)
-    if bad.size == 0:
-        return True, None
-    c = int(bad[0])
-    length = g.order + 1
-    partner = int(_reverse_codes(np.asarray([c], dtype=np.int64), g.k, length)[0])
-    return False, (code_to_tuple(c, g.k, length), code_to_tuple(partner, g.k, length))
+    return _free_of_reversals(g, negate=False)
 
 
-def is_antinegasymmetric(g: DBSubgraph
-                         ) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+def is_antinegasymmetric(g: DBSubgraph) -> tuple[bool, _Witness | None]:
     """No edge may appear together with the negation of its reversal."""
-    negrev = _negate_reverse_codes(g.edges, g.k, g.order + 1)
-    bad = np.intersect1d(g.edges, negrev)
-    if bad.size == 0:
-        return True, None
-    c = int(bad[0])
-    length = g.order + 1
-    partner = int(_negate_reverse_codes(np.asarray([c], dtype=np.int64), g.k, length)[0])
-    return False, (code_to_tuple(c, g.k, length), code_to_tuple(partner, g.k, length))
+    return _free_of_reversals(g, negate=True)
 
 
 def is_balanced(g: DBSubgraph) -> tuple[bool, list[tuple[int, ...]]]:
@@ -284,7 +276,7 @@ def is_balanced(g: DBSubgraph) -> tuple[bool, list[tuple[int, ...]]]:
     ]
 
 
-def _csr(g: DBSubgraph) -> tuple[int, list[int], list[int], list[int]]:
+def _csr(g: DBSubgraph) -> tuple[int, list[int], list[int]]:
     """Dense adjacency over materialized vertices.
 
     Edges are sorted by code, hence grouped by source and ordered by last
@@ -296,12 +288,12 @@ def _csr(g: DBSubgraph) -> tuple[int, list[int], list[int], list[int]]:
     src_ids = np.searchsorted(verts, g.sources)
     tgt_ids = np.searchsorted(verts, g.targets)
     row = np.searchsorted(src_ids, np.arange(nv + 1))
-    return nv, row.tolist(), tgt_ids.tolist(), src_ids.tolist()
+    return nv, row.tolist(), tgt_ids.tolist()
 
 
 def _scc_labels(g: DBSubgraph) -> tuple[list[int], int]:
     """Tarjan strongly-connected components, iteratively, over dense ids."""
-    nv, row, adj, _ = _csr(g)
+    nv, row, adj = _csr(g)
     index = [-1] * nv
     low = [0] * nv
     on_stack = bytearray(nv)
@@ -415,19 +407,15 @@ def eulerian_circuit(g: DBSubgraph) -> EulerianCircuit:
     on the smallest unused edge, and splice detours into the walk at the
     first position that still has unused edges.  Two calls on equal
     subgraphs return identical circuits.
+
+    The walk is its own certificate: it closes over every edge exactly when
+    the subgraph is balanced and connected.  Only when it gets stuck away
+    from its origin, or closes with edges left over, are the degrees and
+    then the components examined to name the failure as a DomainError.
     """
     if g.edge_count == 0:
         raise DomainError("Eulerian circuit requires at least one edge")
-    balanced, bad = is_balanced(g)
-    if not balanced:
-        raise DomainError(
-            f"subgraph is not balanced: {len(bad)} vertices differ, "
-            f"first {bad[0]}")
-    connected, ncomp = is_connected(g)
-    if not connected:
-        raise DomainError(
-            f"subgraph is not connected: {ncomp} strongly-connected components")
-    nv, row, adj, _ = _csr(g)
+    _, row, adj = _csr(g)
     cursor = row[:-1].copy()
     row_end = row[1:]
     n_edges = g.edge_count
@@ -458,7 +446,9 @@ def eulerian_circuit(g: DBSubgraph) -> EulerianCircuit:
                     nxt[chain_tail] = slot
                 chain_tail = slot
             if u != v:
-                raise InternalInvariantError("walk stuck away from its origin")
+                # Stuck away from its origin; the chain stays unspliced,
+                # so the count below comes up short.
+                break
             nxt[chain_tail] = nxt[node]
             nxt[node] = chain_head
         else:
@@ -471,7 +461,16 @@ def eulerian_circuit(g: DBSubgraph) -> EulerianCircuit:
         pos += 1
         slot = nxt[slot]
     if pos != n_edges:
-        raise InternalInvariantError("circuit did not use every edge")
+        balanced, bad = is_balanced(g)
+        if not balanced:
+            raise DomainError(
+                f"subgraph is not balanced: {len(bad)} vertices differ, "
+                f"first {bad[0]}")
+        connected, ncomp = is_connected(g)
+        if not connected:
+            raise DomainError(
+                f"subgraph is not connected: {ncomp} strongly-connected components")
+        raise InternalInvariantError("walk failed on a balanced, connected subgraph")
     start = code_to_tuple(int(g.vertex_codes[0]), g.k, g.order)
     return EulerianCircuit(g.k, g.order, g.edges[order_idx], start)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import period_upper_bound
 from .errors import DomainError, ResourceCapError
-from .graph import window_codes
+from .graph import tuple_to_code, window_codes
 from .sequences import OrientableSequence
 from .tuples import ZkTuple
 
@@ -128,18 +128,10 @@ def locate(seq: OrientableSequence, window) -> LocateResult | None:
     """
     w = _window_symbols(window, seq.k, seq.n)
     fwd = window_codes(np.asarray(seq.symbols), seq.n, seq.k)
-    code = 0
-    for x in w.tolist():
-        code = code * seq.k + x
-    hits = np.flatnonzero(fwd == code)
-    if hits.size:
-        return LocateResult(int(hits[0]), Direction.FORWARD)
-    rcode = 0
-    for x in w.tolist()[::-1]:
-        rcode = rcode * seq.k + x
-    hits = np.flatnonzero(fwd == rcode)
-    if hits.size:
-        return LocateResult(int(hits[0]), Direction.REVERSE)
+    for direction, word in ((Direction.FORWARD, w), (Direction.REVERSE, w[::-1])):
+        hits = np.flatnonzero(fwd == tuple_to_code(word, seq.k))
+        if hits.size:
+            return LocateResult(int(hits[0]), direction)
     return None
 
 

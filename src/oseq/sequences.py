@@ -65,6 +65,23 @@ class OrientableSequence:
         return [int(s) for s in self.symbols]
 
 
+def parse_symbols(raw: str, k: int) -> tuple[int, ...]:
+    """Parse symbols written as format_symbols writes them for alphabet
+    size k, checking that each lies in Z_k."""
+    if k <= 10:
+        if not raw.isdigit():
+            raise DomainError("symbols must be contiguous digits for k <= 10")
+        symbols = tuple(int(c) for c in raw)
+    else:
+        try:
+            symbols = tuple(int(part) for part in raw.split(","))
+        except ValueError as exc:
+            raise DomainError("symbols must be comma-separated integers") from exc
+    if any(s < 0 or s >= k for s in symbols):
+        raise DomainError(f"symbol out of range for alphabet size {k}")
+    return symbols
+
+
 def format_symbols(symbols: Sequence[int] | np.ndarray, k: int) -> str:
     """Render one period as the file body for alphabet size k."""
     items = [str(int(s)) for s in symbols]
@@ -101,21 +118,10 @@ def parse_sequence_file(text: str) -> ParsedSequenceFile:
     body = [line for line in lines[1:] if line.strip()]
     if len(body) != 1:
         raise DomainError(f"expected exactly one symbol line, got {len(body)}")
-    raw = body[0].strip()
-    if k <= 10:
-        symbols = tuple(int(c) for c in raw) if raw.isdigit() else None
-        if symbols is None:
-            raise DomainError("symbol line must be contiguous digits for k <= 10")
-    else:
-        try:
-            symbols = tuple(int(part) for part in raw.split(","))
-        except ValueError as exc:
-            raise DomainError("symbol line must be comma-separated integers") from exc
+    symbols = parse_symbols(body[0].strip(), k)
     if len(symbols) != period:
         raise DomainError(
             f"header says period={period} but found {len(symbols)} symbols")
-    if any(s < 0 or s >= k for s in symbols):
-        raise DomainError(f"symbol out of range for alphabet size {k}")
     return ParsedSequenceFile(k=k, n=n, period=period, method=method,
                               symbols=symbols)
 

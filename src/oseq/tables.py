@@ -10,6 +10,7 @@ construction attains are display-only and tagged external.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -95,56 +96,45 @@ def _golden(table: str, n: int, k: int):
     return reference_tables().get(table, {}).get(str(n), {}).get(str(k))
 
 
-def _estimated_edges(recipe: ConstructionRecipe) -> int:
-    return expected_period(recipe)
+def _status(value: int, golden: int | None) -> str:
+    if golden is None:
+        return STATUS_UNCHECKED
+    return STATUS_OK if value == golden else STATUS_MISMATCH
 
 
-def _period_cell(which: str, golden_table: str, method: Method,
+def _period_cell(which: str, golden: int | None, method: Method,
                  n: int, k: int, cell_cap: int) -> TableCell:
     recipe = ConstructionRecipe(method, k, n)
-    golden = _golden(golden_table, n, k)
-    if _estimated_edges(recipe) > cell_cap:
+    if expected_period(recipe) > cell_cap:
         return TableCell(which, n, k, None, None, "computed", STATUS_SKIPPED)
     seq = generate(recipe)
     bound = period_upper_bound(k, n)
-    if golden is None:
-        status = STATUS_UNCHECKED
-    else:
-        status = STATUS_OK if seq.period == golden else STATUS_MISMATCH
-    return TableCell(which, n, k, seq.period, bound, "computed", status)
+    return TableCell(which, n, k, seq.period, bound, "computed",
+                     _status(seq.period, golden))
 
 
 def _known_cell(n: int, k: int, cell_cap: int) -> TableCell | None:
     golden = _golden("largest_known", n, k)
     if golden is None:
         return None
-    bound = period_upper_bound(k, n)
     if golden["method"] == "external":
-        return TableCell("known", n, k, golden["value"], bound,
-                         "external", STATUS_OK)
-    recipe = ConstructionRecipe(Method(golden["method"]), k, n)
-    if _estimated_edges(recipe) > cell_cap:
-        return TableCell("known", n, k, None, None, "computed", STATUS_SKIPPED)
-    seq = generate(recipe)
-    status = STATUS_OK if seq.period == golden["value"] else STATUS_MISMATCH
-    return TableCell("known", n, k, seq.period, bound, "computed", status)
+        return TableCell("known", n, k, golden["value"],
+                         period_upper_bound(k, n), "external", STATUS_OK)
+    return _period_cell("known", golden["value"], Method(golden["method"]),
+                        n, k, cell_cap)
 
 
 def _compute_cell(which: str, n: int, k: int, cell_cap: int) -> TableCell | None:
     if which == "bounds":
         value = period_upper_bound(k, n)
-        golden = _golden("bounds", n, k)
         previous = _golden("bounds_previous", n, k)
-        if golden is None:
-            status = STATUS_UNCHECKED
-        else:
-            status = STATUS_OK if value == golden else STATUS_MISMATCH
-        return TableCell(which, n, k, value, previous, "computed", status)
+        return TableCell(which, n, k, value, previous, "computed",
+                         _status(value, _golden("bounds", n, k)))
     if which == "a-periods":
-        return _period_cell(which, "end_difference_periods",
+        return _period_cell(which, _golden("end_difference_periods", n, k),
                             Method.END_DIFFERENCE, n, k, cell_cap)
     if which == "lempel-periods":
-        return _period_cell(which, "lifted_periods",
+        return _period_cell(which, _golden("lifted_periods", n, k),
                             Method.LEMPEL_LIFT, n, k, cell_cap)
     if which == "known":
         return _known_cell(n, k, cell_cap)
@@ -172,13 +162,15 @@ def compute_table(which: str, max_k: int, max_n: int,
 
     Cells whose construction would exceed cell_cap edges are marked
     skipped.  With workers > 1 the independent cells run in a process
-    pool; assembly order is fixed either way, so output is identical.
+    pool of at most one worker per cell and per CPU; assembly order is
+    fixed either way, so output is identical.
     """
     if which not in TABLE_NAMES:
         raise DomainError(f"table must be one of {TABLE_NAMES}, got {which!r}")
     if max_k < 2 or max_n < 2:
         raise DomainError("need max_k >= 2 and max_n >= 2")
     grid = _cell_grid(which, max_k, max_n)
+    workers = min(workers, len(grid), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {

@@ -153,6 +153,15 @@ def test_locate_bad_window(tmp_path, capsys):
     assert run("locate", "--in", str(out), "--window", "09") == 1
 
 
+def test_locate_rejects_non_orientable_file(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("k=2 n=2 period=3 method=unknown\n010\n")
+    assert run("locate", "--in", str(path), "--window", "01") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rejected:" in captured.err and "kind=reversal" in captured.err
+
+
 def test_no_command_is_usage_error(capsys):
     assert run() == 1
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oseq import oracle
+from oseq import constructions, graph, oracle
 from oseq.constructions import (
     ConstructionRecipe,
     Method,
@@ -18,9 +18,10 @@ from oseq.constructions import (
     low_pseudoweight_graph,
     odd_end_difference_graph,
 )
-from oseq.errors import ConstructionError, DomainError
+from oseq.errors import ConstructionError, DomainError, InternalInvariantError
 from oseq.graph import (
     build_subgraph,
+    full_de_bruijn,
     is_antinegasymmetric,
     is_antisymmetric,
     is_balanced,
@@ -243,3 +244,43 @@ def test_expected_period_lempel_closed_form():
     assert expected_period(ConstructionRecipe(Method.LEMPEL_LIFT, 4, 5)) == 372
     assert expected_period(ConstructionRecipe(Method.LEMPEL_LIFT, 5, 6)) == 7160
     assert expected_period(ConstructionRecipe(Method.LEMPEL_LIFT, 6, 6)) == 20172
+
+
+def test_non_antisymmetric_edge_set_fails_verification(monkeypatch):
+    # Eulerian, but with palindromic edges: only verify() can object.
+    monkeypatch.setattr(constructions, "_build_graph",
+                        lambda recipe: full_de_bruijn(3, 1))
+    with pytest.raises(InternalInvariantError, match="palindrome"):
+        generate(ConstructionRecipe(Method.END_DIFFERENCE, 3, 2))
+
+
+def test_unbalanced_connected_edge_set_is_internal_error(monkeypatch):
+    g = build_subgraph(3, 1, [(0, 1), (1, 0), (1, 2), (2, 0)])
+    monkeypatch.setattr(constructions, "_build_graph", lambda recipe: g)
+    with pytest.raises(InternalInvariantError, match="balanced"):
+        generate(ConstructionRecipe(Method.END_DIFFERENCE, 3, 2))
+
+
+@pytest.mark.parametrize("method,k,n,t", [
+    ("a", 5, 3, None), ("c", 5, 3, None), ("a_t", 5, 4, 2), ("lempel", 4, 3, None),
+])
+def test_generate_runs_no_separate_certificates(monkeypatch, method, k, n, t):
+    def refuse(*args):
+        raise AssertionError("certificate called on a good recipe")
+
+    for name in ("is_antisymmetric", "is_antinegasymmetric", "is_balanced",
+                 "is_connected", "component_edge_counts"):
+        monkeypatch.setattr(graph, name, refuse)
+        monkeypatch.setattr(constructions, name, refuse, raising=False)
+    verified = []
+    real_verify = oracle.verify
+
+    def spy(*args):
+        verified.append(args)
+        return real_verify(*args)
+
+    monkeypatch.setattr(oracle, "verify", spy)
+    recipe = ConstructionRecipe(Method(method), k, n, t=t)
+    seq = generate(recipe)
+    assert seq.period == expected_period(recipe)
+    assert len(verified) == 1

@@ -149,6 +149,9 @@ def test_eulerian_circuit_preconditions():
         eulerian_circuit(build_subgraph(2, 1, [(0, 1)]))
     with pytest.raises(DomainError, match="connected"):
         eulerian_circuit(build_subgraph(4, 1, [(0, 1), (1, 0), (2, 3), (3, 2)]))
+    # The first closed walk succeeds; the edge left over is unbalanced.
+    with pytest.raises(DomainError, match="balanced"):
+        eulerian_circuit(build_subgraph(3, 1, [(0, 0), (1, 2)]))
     with pytest.raises(DomainError):
         eulerian_circuit(build_subgraph(2, 1, []))
 

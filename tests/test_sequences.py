@@ -8,6 +8,7 @@ from oseq.sequences import (
     OrientableSequence,
     format_symbols,
     parse_sequence_file,
+    parse_symbols,
     read_sequence_file,
     serialize_sequence,
     write_sequence_file,
@@ -96,3 +97,11 @@ def test_serialize_parse_identity(kv):
     parsed = parse_sequence_file(serialize_sequence(seq))
     assert parsed.k == k
     assert list(parsed.symbols) == syms
+
+
+def test_parse_symbols_follows_alphabet_format():
+    assert parse_symbols("0120", 3) == (0, 1, 2, 0)
+    assert parse_symbols("10,0,11", 12) == (10, 0, 11)
+    for raw, k in [("013", 3), ("0,1", 3), ("1,x", 12), ("12,3", 12), ("", 4)]:
+        with pytest.raises(DomainError):
+            parse_symbols(raw, k)

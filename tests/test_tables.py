@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import Future
 
 import pytest
 
@@ -90,3 +91,29 @@ def test_mismatch_detection(monkeypatch):
     bad = result.mismatches()[0]
     assert (bad.n, bad.k) == (2, 5)
     assert "MISMATCH" in result.text()
+
+
+@pytest.mark.parametrize("cpus,pools", [(3, [3]), (64, [4]), (None, [])])
+def test_worker_pool_is_bounded(monkeypatch, cpus, pools):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(tables, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(tables.os, "cpu_count", lambda: cpus)
+    result = compute_table("bounds", 3, 3, workers=10_000)
+    assert sizes == pools
+    assert result == compute_table("bounds", 3, 3)
