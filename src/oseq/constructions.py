@@ -239,8 +239,8 @@ def generate(recipe: ConstructionRecipe) -> OrientableSequence:
     """Run a recipe end to end: build, extract, spell, verify.
 
     Each property of the edge set is checked once, by the step that owns
-    it.  The Eulerian walk shows balance and connectivity, and looks for
-    which one failed only when it cannot close.  verify() shows
+    it.  The circuit extraction shows balance and connectivity, and looks
+    for which one failed only when it cannot close.  verify() shows
     antisymmetry, since the circuit spells every edge exactly once as a
     window.  Failures that the constructions rule out raise
     InternalInvariantError; a disconnected edge set (possible for the

@@ -97,6 +97,19 @@ def _reverse_codes(codes: np.ndarray, k: int, length: int,
     return rev
 
 
+def _sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending.
+
+    A sort and an adjacent compare: numpy 2's unique takes a slower
+    hash-based path on large integer arrays.
+    """
+    ordered = np.sort(codes)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 @dataclass(frozen=True, eq=False)
 class DBSubgraph:
     """An edge set inside the de Bruijn digraph of the given order."""
@@ -144,7 +157,7 @@ class DBSubgraph:
     @cached_property
     def vertex_codes(self) -> np.ndarray:
         """Sorted codes of every vertex incident to at least one edge."""
-        verts = np.unique(np.concatenate([self.sources, self.targets]))
+        verts = _sorted_unique(np.concatenate([self.sources, self.targets]))
         verts.flags.writeable = False
         return verts
 
@@ -212,7 +225,7 @@ def build_subgraph(k: int, order: int,
             raise DomainError(
                 f"edge must have {length} symbols, got {len(symbols)}")
         codes.append(tuple_to_code(symbols, k))
-    arr = np.unique(np.asarray(codes, dtype=np.int64))
+    arr = _sorted_unique(np.asarray(codes, dtype=np.int64))
     return DBSubgraph(k, order, arr, duplicates_dropped=len(codes) - arr.size)
 
 
@@ -244,12 +257,15 @@ _Witness = tuple[tuple[int, ...], tuple[int, ...]]
 def _free_of_reversals(g: DBSubgraph, negate: bool) -> tuple[bool, _Witness | None]:
     length = g.order + 1
     rev = _reverse_codes(g.edges, g.k, length, negate)
-    bad = np.intersect1d(g.edges, rev)
+    # Both maps are involutions, so an edge offends exactly when its own
+    # image is an edge; the first such edge in code order is the smallest.
+    at = np.minimum(np.searchsorted(g.edges, rev), g.edge_count - 1)
+    bad = np.flatnonzero(g.edges[at] == rev)
     if bad.size == 0:
         return True, None
-    c = int(bad[0])
-    partner = int(rev[np.searchsorted(g.edges, c)])
-    return False, (code_to_tuple(c, g.k, length), code_to_tuple(partner, g.k, length))
+    i = int(bad[0])
+    return False, (code_to_tuple(int(g.edges[i]), g.k, length),
+                   code_to_tuple(int(rev[i]), g.k, length))
 
 
 def is_antisymmetric(g: DBSubgraph) -> tuple[bool, _Witness | None]:
@@ -277,12 +293,8 @@ def is_balanced(g: DBSubgraph) -> tuple[bool, list[tuple[int, ...]]]:
 
 
 def _csr(g: DBSubgraph) -> tuple[int, list[int], list[int]]:
-    """Dense adjacency over materialized vertices.
-
-    Edges are sorted by code, hence grouped by source and ordered by last
-    symbol within each group; that ordering is what makes circuit
-    extraction canonical.
-    """
+    """Dense adjacency over materialized vertices: row offsets into the
+    code-sorted edges, which are grouped by source, and each edge's target."""
     verts = g.vertex_codes
     nv = int(verts.size)
     src_ids = np.searchsorted(verts, g.sources)
@@ -381,7 +393,7 @@ class EulerianCircuit:
         object.__setattr__(self, "edges", edges)
         if edges.size == 0:
             raise DomainError("an Eulerian circuit cannot be empty")
-        if np.unique(edges).size != edges.size:
+        if _sorted_unique(edges).size != edges.size:
             raise DomainError("circuit repeats an edge")
         base = self.k**self.order
         suffixes = edges % base
@@ -400,79 +412,146 @@ class EulerianCircuit:
         return [tuple(int(x) for x in row) for row in digits]
 
 
+def _index_dtype(m: int) -> type:
+    """int32 edge indexes while they fit; OSEQ_EDGE_CAP may allow more."""
+    return np.int32 if m < 2**31 else np.int64
+
+
+def _cycle_labels(succ: np.ndarray) -> np.ndarray:
+    """The smallest element on each element's cycle of the permutation succ.
+
+    Pointer doubling: after t rounds each label is the minimum over the
+    next 2**t elements.  A round that changes no label means the windows
+    already tile every cycle, so the labels are final.
+    """
+    labels = np.arange(succ.size, dtype=succ.dtype)
+    jump = succ
+    while True:
+        widened = np.minimum(labels, np.take(labels, jump))
+        if np.array_equal(widened, labels):
+            return labels
+        labels = widened
+        jump = np.take(jump, jump)
+
+
+def _cycle_ranks(succ: np.ndarray) -> np.ndarray:
+    """Position of each element on the single cycle of succ, counted
+    from element 0.
+
+    Wyllie list ranking: cut the cycle in front of element 0, then double
+    the pointers, summing hop counts, until every element sees the end.
+    """
+    m = succ.size
+    end = int(np.flatnonzero(succ == 0)[0])
+    jump = succ.copy()
+    jump[end] = end
+    hops = np.ones(m, dtype=succ.dtype)
+    hops[end] = 0
+    for _ in range((m - 1).bit_length()):
+        hops += np.take(hops, jump)
+        jump = np.take(jump, jump)
+    return (m - 1) - hops
+
+
+def _join_cycles(succ: np.ndarray, in_order: np.ndarray,
+                 sources: np.ndarray) -> bool:
+    """Merge the cycles of succ into one, in place; False when some cycles
+    share no vertex.
+
+    in_order lists the in-edges grouped by vertex in ascending vertex
+    order.  Swapping the successors of two in-edges of one vertex that lie
+    on different cycles splices those cycles together (Etzion & Lempel's
+    cycle joining).  Joins are tried at consecutive in-edges, in in_order
+    order, and made when a union-find over the cycles shows the two still
+    apart.  Only the first place where a pair of cycles meets can join
+    them, so the pairs are deduplicated before the Python loop sees them.
+    """
+    m = succ.size
+    cycle_of = _cycle_labels(succ)
+    cycles = int(np.count_nonzero(cycle_of == np.arange(m, dtype=succ.dtype)))
+    if cycles == 1:
+        return True
+    labels = np.take(cycle_of, in_order)
+    at = np.flatnonzero((sources[1:] == sources[:-1])
+                        & (labels[1:] != labels[:-1]))
+    lo = np.minimum(labels[at], labels[at + 1]).astype(np.int64)
+    hi = np.maximum(labels[at], labels[at + 1])
+    # Labels are below m, so the key fits int64 while m < 3.03e9.
+    key = lo * m + hi
+    by_key = np.argsort(key)
+    starts = np.flatnonzero(np.diff(key[by_key], prepend=-1))
+    first = np.sort(np.minimum.reduceat(by_key, starts))
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while x in parent:
+            up = parent[x]
+            parent[x] = x = parent.get(up, up)
+        return x
+
+    joins = []
+    for p, a, b in zip(at[first].tolist(), lo[first].tolist(),
+                       hi[first].tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            joins.append(p)
+    if len(joins) != cycles - 1:
+        return False
+    for p in joins:
+        x, y = in_order[p], in_order[p + 1]
+        succ[x], succ[y] = succ[y], succ[x]
+    return True
+
+
+def _not_eulerian(g: DBSubgraph) -> Exception:
+    """Name why a subgraph has no Eulerian circuit."""
+    balanced, bad = is_balanced(g)
+    if not balanced:
+        return DomainError(
+            f"subgraph is not balanced: {len(bad)} vertices differ, "
+            f"first {bad[0]}")
+    connected, ncomp = is_connected(g)
+    if not connected:
+        return DomainError(
+            f"subgraph is not connected: {ncomp} strongly-connected components")
+    return InternalInvariantError("cycle joining failed on a balanced, "
+                                  "connected subgraph")
+
+
 def eulerian_circuit(g: DBSubgraph) -> EulerianCircuit:
     """The canonical Eulerian circuit of a balanced, connected subgraph.
 
-    Canonical means: start at the smallest materialized vertex, always leave
-    on the smallest unused edge, and splice detours into the walk at the
-    first position that still has unused edges.  Two calls on equal
-    subgraphs return identical circuits.
+    Canonical means: at every vertex, pair the j-th in-edge with the j-th
+    out-edge, both in code order; this splits the edges into cycles.  Then
+    visit the vertices in code order, and wherever two consecutive
+    in-edges of a vertex lie on cycles not yet joined, swap their
+    out-edges, which merges the two cycles.  The one cycle left starts at
+    the smallest edge, whose prefix is the smallest vertex.  Two calls on
+    equal subgraphs return identical circuits.
 
-    The walk is its own certificate: it closes over every edge exactly when
-    the subgraph is balanced and connected.  Only when it gets stuck away
-    from its origin, or closes with edges left over, are the degrees and
-    then the components examined to name the failure as a DomainError.
+    The pairing exists exactly when the subgraph is balanced, and the
+    joins reach one cycle exactly when it is also connected.  Only when
+    either fails are the degrees and then the components examined to name
+    the failure as a DomainError.
     """
-    if g.edge_count == 0:
+    m = g.edge_count
+    if m == 0:
         raise DomainError("Eulerian circuit requires at least one edge")
-    _, row, adj = _csr(g)
-    cursor = row[:-1].copy()
-    row_end = row[1:]
-    n_edges = g.edge_count
-    # Circuit as a linked list of slots; slot 0 is the head sentinel sitting
-    # at the start vertex, slots 1..E hold one edge each.
-    nxt = [-1] * (n_edges + 1)
-    slot_edge = [0] * (n_edges + 1)
-    arrive = [0] * (n_edges + 1)
-    free = 1
-    node = 0
-    while node != -1:
-        v = arrive[node]
-        if cursor[v] < row_end[v]:
-            chain_head = -1
-            chain_tail = -1
-            u = v
-            while cursor[u] < row_end[u]:
-                ei = cursor[u]
-                cursor[u] += 1
-                slot = free
-                free += 1
-                slot_edge[slot] = ei
-                u = adj[ei]
-                arrive[slot] = u
-                if chain_tail == -1:
-                    chain_head = slot
-                else:
-                    nxt[chain_tail] = slot
-                chain_tail = slot
-            if u != v:
-                # Stuck away from its origin; the chain stays unspliced,
-                # so the count below comes up short.
-                break
-            nxt[chain_tail] = nxt[node]
-            nxt[node] = chain_head
-        else:
-            node = nxt[node]
-    order_idx = np.empty(n_edges, dtype=np.int64)
-    slot = nxt[0]
-    pos = 0
-    while slot != -1:
-        order_idx[pos] = slot_edge[slot]
-        pos += 1
-        slot = nxt[slot]
-    if pos != n_edges:
-        balanced, bad = is_balanced(g)
-        if not balanced:
-            raise DomainError(
-                f"subgraph is not balanced: {len(bad)} vertices differ, "
-                f"first {bad[0]}")
-        connected, ncomp = is_connected(g)
-        if not connected:
-            raise DomainError(
-                f"subgraph is not connected: {ncomp} strongly-connected components")
-        raise InternalInvariantError("walk failed on a balanced, connected subgraph")
-    start = code_to_tuple(int(g.vertex_codes[0]), g.k, g.order)
-    return EulerianCircuit(g.k, g.order, g.edges[order_idx], start)
+    index = _index_dtype(m)
+    sources = g.sources
+    in_order = np.argsort(g.targets, kind="stable").astype(index, copy=False)
+    # sources is sorted, so this compares the in- and out-degree sequences.
+    if not np.array_equal(g.targets[in_order], sources):
+        raise _not_eulerian(g)
+    succ = np.empty(m, dtype=index)
+    succ[in_order] = np.arange(m, dtype=index)
+    if not _join_cycles(succ, in_order, sources):
+        raise _not_eulerian(g)
+    order = np.empty(m, dtype=index)
+    order[_cycle_ranks(succ)] = np.arange(m, dtype=index)
+    start = code_to_tuple(int(sources[0]), g.k, g.order)
+    return EulerianCircuit(g.k, g.order, g.edges[order], start)
 
 
 def circuit_to_sequence(c: EulerianCircuit) -> np.ndarray:
@@ -516,7 +595,7 @@ def edge_graph_of_sequence(symbols: np.ndarray | Sequence[int], n: int,
     if s.size and (int(s.min()) < 0 or int(s.max()) >= k):
         raise DomainError(f"symbol out of range for alphabet size {k}")
     codes = window_codes(s, n, k)
-    unique = np.unique(codes)
+    unique = _sorted_unique(codes)
     if unique.size != codes.size:
         raise DomainError(
             f"sequence repeats a window: only {unique.size} distinct "

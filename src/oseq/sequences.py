@@ -84,8 +84,9 @@ def parse_symbols(raw: str, k: int) -> tuple[int, ...]:
 
 def format_symbols(symbols: Sequence[int] | np.ndarray, k: int) -> str:
     """Render one period as the file body for alphabet size k."""
-    items = [str(int(s)) for s in symbols]
-    return "".join(items) if k <= 10 else ",".join(items)
+    if k <= 10:
+        return (np.asarray(symbols, np.uint8) + ord("0")).tobytes().decode("ascii")
+    return ",".join(str(int(s)) for s in symbols)
 
 
 def serialize_sequence(seq: OrientableSequence, method: str | None = None) -> str:

@@ -20,35 +20,35 @@ from oseq.errors import ConstructionError
 EXPECTED = {
     ('a', 3, 2, None): 'ae4b3280e56e2faf83f414a6e3dabe9d5fbe18976544c05fed121accb85b53fc',
     ('a', 4, 2, None): '054edec1d0211f624fed0cbca9d4f9400b0e491c43742af2c5b0abebf0c990d8',
-    ('a', 5, 2, None): '1c3cc86f2c6e9ca1a1591c83b82d9b9e14685c25b574fdacdf7921ac8448fb8e',
-    ('a', 6, 2, None): '1b130a499fb095fbe72684a0c2741ea2e0b6716846c64590331479177e7a1ab1',
-    ('a', 7, 2, None): '26b431f85521302c7fbc7e320365c7ac5cd0289c5f8081d440d94645962315da',
-    ('a', 8, 2, None): '2fa1a384bf8488ecd9312bdd0ac3111e051b9489b8016a868265cf3b75e779ac',
-    ('a', 9, 2, None): '9635bf8397dcb941e6287f0357a798b74a791456672b271d69db792842b08544',
+    ('a', 5, 2, None): '2a0338bf685fb94e7ccb7d2869642cac23cb5074cca8fcb6a2be385a00da03f9',
+    ('a', 6, 2, None): '380d023992cb5f3c0f9c305592fe16c58cea39c5e42c42b95fb1b0bee9f3f547',
+    ('a', 7, 2, None): '1154789e33aba3f7051b5fb42ee6f52fd6444a6ee52cf697fe31f2277d434898',
+    ('a', 8, 2, None): '51e88055506ae843fc8842612ea74ed04a15ca68f140e828621a5927d3be6fbe',
+    ('a', 9, 2, None): '4187b1752c7d0bf31bd052a6348807f5538d2059091ab650a9ef34db43703510',
     ('a', 3, 3, None): (2, ((6, 1), (3, 1))),
     ('a', 4, 3, None): (2, ((8, 2),)),
-    ('a', 5, 3, None): 'a2e971335cece99e85861f3e928fa431ff8422c2c0c7a68de5d625ad584b4065',
-    ('a', 6, 3, None): '727232a473c52ff6297f71eeb6c1e99bc51305689cf0e33dc9b00760fa1c5ead',
-    ('a', 7, 3, None): 'fea1cd812b3d158ab3d56707bedbd10dce7715c45e44b3b6021aaa79408a1299',
-    ('a', 8, 3, None): '6a244c169065ddddcb5e56094369b289857fa41dbffbc17fb433ae361e648a78',
-    ('a', 9, 3, None): '3a96bd694888cd5fabb122e212bb569c5625af55ed8dcce875c4de29a30b036f',
+    ('a', 5, 3, None): 'd3138004d024aa43fa861939642079a5b68f14efc4999b8eb2061f69618bbcbf',
+    ('a', 6, 3, None): 'c0126683d3bc1203a51ea739e23ccb92096fdef302909eadde950309e4ce4f2f',
+    ('a', 7, 3, None): '5c34d1280fa4ccbfc1305f0c6a392982819695c3ec95a3b66c47965a16053843',
+    ('a', 8, 3, None): 'e7418ba4ffbfde41456de2b73d478cd43fa8e64adb623905a748be025f34ace5',
+    ('a', 9, 3, None): 'aa23225e9fd75e9deeacbf7897cc123347532116f268500932c13c9259657ef8',
     ('a', 3, 4, None): (3, ((9, 3),)),
     ('a', 4, 4, None): (6, ((12, 5), (4, 1))),
-    ('a', 5, 4, None): '6bc7489196e09e8b3f45685d36af47b1b05f92e8b3db9d00318066509c15c807',
-    ('a', 6, 4, None): 'd3e6e1201476d7bea4d92b96c3292eb27902bb8d2a3420c32f2d804db81a0add',
-    ('a', 7, 4, None): '321bcaa112ac96ddfe7f724a1f813919f1fe3e41d63f969e7e38ba445f8b9f4f',
-    ('a', 8, 4, None): '93190c6f28f3893ec07ccae1c78caedae9ca8e09faac8a6dc9c4d2fe4a3db456',
-    ('a', 9, 4, None): 'a7c6dbb8a47bd00431da79bcf6e6105927b95b1076a6ef57962a8620695c470d',
+    ('a', 5, 4, None): 'ed30d75b3f8db4abba23fc9126dd310526a5ad50ec7ea8907085b65a1db57f4d',
+    ('a', 6, 4, None): '21074d95e49c6736b9442caf12a10ca4d262ab6134631ae48686abfa5d6bbaf2',
+    ('a', 7, 4, None): 'e2614b522021af897c78d47808738e6ec63100c90cd22db3b838782c0d95c094',
+    ('a', 8, 4, None): '26c8ae362c09fe48c3ea57ea090fc1249b99e425568e09307e2cbf79cfbf8d57',
+    ('a', 9, 4, None): '8cb0a97b95af52402bc6b1b13770cefab1d398e2bef9e8358c145ee333cc1173',
     ('a', 3, 5, None): (8, ((12, 6), (6, 1), (3, 1))),
     ('a', 4, 5, None): (16, ((16, 16),)),
-    ('a', 5, 5, None): 'a9d33299cad99fee0b6803e9c840fb6abb72b78522c71fa18f44e19aa0ba52b8',
-    ('a', 6, 5, None): '84c258392d973420467d374278a487ec69e50a2be4b6141cdbc5b39e5f2b37a1',
-    ('a', 7, 5, None): 'a4be376a66221faf593415cb6f70f7728e462a7470d0ec03e61a86691fd91a28',
-    ('a', 8, 5, None): 'c5bc2b7a095f9c39b5687517668903590b0c5288649b2e84bf844215afa9e7c3',
+    ('a', 5, 5, None): '104159be88e5a64520c26d15e2b779e6bb8679efb0168f7dcfcfae7dd8d779b2',
+    ('a', 6, 5, None): 'a49afdffaa7173ab214f00289e3fa5bc429ddd7e29322cceb04cdd2610e5b611',
+    ('a', 7, 5, None): '96905b9f55c74e599dcb48170d4984db8c8271457c8fa7efb0fad70f40c81880',
+    ('a', 8, 5, None): '16279dd015e487d2f66776e457746575cddca03884529f7d8dbac26e9b835ecc',
     ('a', 3, 6, None): (17, ((15, 16), (3, 1))),
     ('a', 4, 6, None): (52, ((20, 51), (4, 1))),
-    ('a', 5, 6, None): '1b69e014bfb0e9b2792dffd329f35a0f05038d2191a287ddcbeaf877132f531c',
-    ('a', 6, 6, None): '0c2fb972da316359db2d6e5c8b009f236e3391a87ef2ae9b37470482f7ff37ac',
+    ('a', 5, 6, None): '1bb86ebc673a3fe83f28664e5aa6a093cb0811ee6e04dceb8c76286b0be9b6d1',
+    ('a', 6, 6, None): 'd2df5b3739d009257de69353ff7251caad52a528cdac56d69548d5b90cbacf73',
     ('a', 3, 7, None): (42, ((18, 39), (9, 3))),
     ('a', 4, 7, None): (172, ((24, 170), (8, 2))),
     ('a', 3, 8, None): (105, ((21, 104), (3, 1))),
@@ -58,76 +58,76 @@ EXPECTED = {
     ('c', 5, 2, None): '0906229fa26dedf0e166d7ee28a1cd196858841bc923b0c372d1a1056dc57250',
     ('c', 7, 2, None): 'cee0d9397593515c9074525a02bae52ecb6bd370d5c4f0331f6b722b8194840f',
     ('c', 9, 2, None): '8e305b5de447e85eb9b701073c8445bd39d857f40e92d947352eb7549cb0424d',
-    ('c', 5, 3, None): '6514f15a09af519aca529e05e76ba43b62911a86c3ac96b0f0e600a44aa5f434',
-    ('c', 7, 3, None): '4e95176773af51db9aac0e0905d8a6d0f2ed4419784f2063abad07d5d90594ae',
-    ('c', 9, 3, None): '0658e06cb1f6d9230b0d338ec6c1d5f123e2025175d76650f6ce86b3f2d0dbd8',
-    ('c', 5, 4, None): '06c03859a236e3c911f72892df223590c09cc23cd13f83e6f02903334e3dbfb4',
-    ('c', 7, 4, None): '7aa9d222392ce30ed2ac1af82233758ccba16ebdefa033f27dbe49d93ea29ada',
-    ('c', 9, 4, None): 'c7bb7e72d7519c3e5df8990d46d227f3e4869f6c9e0b2c62858839a3d548d29f',
-    ('c', 5, 5, None): '2c8ba4e9b9011db774892d676b6166a914b08ddb49c6fc262c335967096fdfa9',
-    ('c', 7, 5, None): '878ead1b6bb71213f3d11cfb59028d2a682045661a9a910f47e2c9e5402ae514',
-    ('c', 5, 6, None): 'd4c2c388458799e0950f6452fe560158490e69c16d9fe3a42e2899a89513098f',
-    ('a_t', 5, 2, 1): '1c3cc86f2c6e9ca1a1591c83b82d9b9e14685c25b574fdacdf7921ac8448fb8e',
-    ('a_t', 6, 2, 1): '1b130a499fb095fbe72684a0c2741ea2e0b6716846c64590331479177e7a1ab1',
-    ('a_t', 7, 2, 1): '26b431f85521302c7fbc7e320365c7ac5cd0289c5f8081d440d94645962315da',
-    ('a_t', 8, 2, 1): '2fa1a384bf8488ecd9312bdd0ac3111e051b9489b8016a868265cf3b75e779ac',
-    ('a_t', 9, 2, 1): '9635bf8397dcb941e6287f0357a798b74a791456672b271d69db792842b08544',
-    ('a_t', 5, 3, 1): 'a2e971335cece99e85861f3e928fa431ff8422c2c0c7a68de5d625ad584b4065',
-    ('a_t', 6, 3, 1): '727232a473c52ff6297f71eeb6c1e99bc51305689cf0e33dc9b00760fa1c5ead',
-    ('a_t', 7, 3, 1): 'fea1cd812b3d158ab3d56707bedbd10dce7715c45e44b3b6021aaa79408a1299',
-    ('a_t', 8, 3, 1): '6a244c169065ddddcb5e56094369b289857fa41dbffbc17fb433ae361e648a78',
-    ('a_t', 9, 3, 1): '3a96bd694888cd5fabb122e212bb569c5625af55ed8dcce875c4de29a30b036f',
-    ('a_t', 5, 4, 1): '6bc7489196e09e8b3f45685d36af47b1b05f92e8b3db9d00318066509c15c807',
-    ('a_t', 5, 4, 2): 'a71bdbfdf23c6bc89889312c2e70aa65aa8282f8ef363fca1d7c1059066c977c',
-    ('a_t', 6, 4, 1): 'd3e6e1201476d7bea4d92b96c3292eb27902bb8d2a3420c32f2d804db81a0add',
-    ('a_t', 6, 4, 2): 'f89ed7e61b16abfab27bcae0d0271d1090d66eb78facd729d36642c8c0253f33',
-    ('a_t', 7, 4, 1): '321bcaa112ac96ddfe7f724a1f813919f1fe3e41d63f969e7e38ba445f8b9f4f',
-    ('a_t', 7, 4, 2): 'da89140847690d8df585d583def9fb84cfd4029b506797a1664570879af74889',
-    ('a_t', 8, 4, 1): '93190c6f28f3893ec07ccae1c78caedae9ca8e09faac8a6dc9c4d2fe4a3db456',
-    ('a_t', 8, 4, 2): '91041bdb42d783a71e137da085c612c313196d32c34c668221ec68f01bec1d42',
-    ('a_t', 9, 4, 1): 'a7c6dbb8a47bd00431da79bcf6e6105927b95b1076a6ef57962a8620695c470d',
-    ('a_t', 9, 4, 2): 'b8bf006f03b64857f1fa73ec5a2d9b8cf3ee7f7fa128b104bd48fa93121fe599',
-    ('a_t', 5, 5, 1): 'a9d33299cad99fee0b6803e9c840fb6abb72b78522c71fa18f44e19aa0ba52b8',
-    ('a_t', 5, 5, 2): '8633a54ed0ed42c50f0baf1c412145471e3e0e9cf792561b761e52c3bc72ad60',
-    ('a_t', 6, 5, 1): '84c258392d973420467d374278a487ec69e50a2be4b6141cdbc5b39e5f2b37a1',
-    ('a_t', 6, 5, 2): '7cb9d34ccefd041bfc3ed08e066284ed8e2ad13c5e3a926808ee73a9a413955b',
-    ('a_t', 7, 5, 1): 'a4be376a66221faf593415cb6f70f7728e462a7470d0ec03e61a86691fd91a28',
-    ('a_t', 7, 5, 2): 'fb382337dc53cc9cf39e94ec6fb824735659614bb35a7fe1e9713b3c13ba841f',
-    ('a_t', 8, 5, 1): 'c5bc2b7a095f9c39b5687517668903590b0c5288649b2e84bf844215afa9e7c3',
-    ('a_t', 8, 5, 2): '54f140af46da544dd750016ed8f34e2b2d11f1040564de447cb63b6b7abca752',
-    ('a_t', 5, 6, 1): '1b69e014bfb0e9b2792dffd329f35a0f05038d2191a287ddcbeaf877132f531c',
-    ('a_t', 5, 6, 2): 'a26a7e02027a394213a0738a0efa8a9dc98c34476d6059d27fa3c221d7d76e39',
-    ('a_t', 5, 6, 3): 'a1a31a2605ea30ecb792840e10538286769053888903c73b1a930a7e7470e96a',
-    ('a_t', 6, 6, 1): '0c2fb972da316359db2d6e5c8b009f236e3391a87ef2ae9b37470482f7ff37ac',
-    ('a_t', 6, 6, 2): '93b5054fe0b07c08939e95fa711a59cf0239002f8d92a7ef0d9018cb65b51366',
-    ('a_t', 6, 6, 3): '8eec68cda3d1e66ac9409295e668a65244894773634557cb3be33fe90858c4f5',
-    ('lempel', 3, 3, None): 'c61192467e5d41757fba0feb1f6dcdbc80c3aa18c7d6f4259d6830f4773713d8',
-    ('lempel', 4, 3, None): '1756f49704bd3997525100401dcaf8ddfb1ef898d2de5544f1c325b4e3f65fa7',
-    ('lempel', 5, 3, None): '3c1e389f5d4885882348b02478b8443f2add6ee4fe7e11a7880d329689e4ae28',
-    ('lempel', 6, 3, None): '83ec0158d08f6034b74f5c6417d28db31f027e6229cc112c4628e1fc9622f3fc',
-    ('lempel', 7, 3, None): '081046e25efe630fad84cd0c18794b0a932684f6d3bb32dc15e0a65bdbe5658e',
-    ('lempel', 8, 3, None): '2e8e2514ec77e93f674a227c0c5d38a9bf8c0ec0825f6dba625775f3efe0c439',
-    ('lempel', 9, 3, None): 'ae4cad51d68786ce131a86aded68d186d5913949b2c8825f1922e043fcf2286f',
-    ('lempel', 3, 4, None): '80c190c1cfa9d57daca6cb269a3ca1352061f2cbea60a4e05f9cd14863722ddc',
-    ('lempel', 4, 4, None): '3b4888ad3dcd252a0a1f1da376d8ada6ef2c9dc763a0ec41ecc67b373c8d27cc',
-    ('lempel', 5, 4, None): '3461264f3846c592019cb55b2d1f217d1f11a11cf1effe5bed465f5de6d62865',
-    ('lempel', 6, 4, None): '4fbc74bf58d85e75b9cca84f85094e400f6d4e3e8505be8dd26f1e27ab1ee671',
-    ('lempel', 7, 4, None): '08ac7b5f45453cdfdce745a62e160d6482fd17530551fb92c65af564abd93099',
-    ('lempel', 8, 4, None): '8faeeb706f4da2f54273789e70bf42b3b2fa537fe7543aa62b07b54c2bf77bb3',
-    ('lempel', 9, 4, None): '2b503ee6db0e251cf43a1a8c67448db53a6412a88e1c9fb95497b86b12981f65',
-    ('lempel', 3, 5, None): '2ef7904ffc709175997684f072d1b28f86437130f21e851441b495da30aa74e0',
-    ('lempel', 4, 5, None): '66c1b75cd39af7a52eade4a5cc7806a808f730267153fdc5ea79e2cf789bfebb',
-    ('lempel', 5, 5, None): 'fdcdc7e58d305e1052048d0d6bca71e2d9578722f77a858ad610123c30f24c7a',
-    ('lempel', 6, 5, None): 'bcd5f2d418a285b4a0d596583a7c44a5857817c71f428eb205b6ce4c69743780',
-    ('lempel', 7, 5, None): '50a96fb5fd6cb3de685fa1965bd878d88a20e6cdaeac6fef141dcf44b4a1d81a',
-    ('lempel', 8, 5, None): '888a1493e8696e77969fe06dd976d7ef983f5ad6423973323bc1354df95fb7bd',
-    ('lempel', 3, 6, None): 'e7f96abcd02b7b15138a136e631f3bc5606a4444fdb8f1d7b9be8586fff6aadd',
-    ('lempel', 4, 6, None): '71cbf6974315183b5e4c10ac49fffc577c77d81471ee2995c49b1b4821613927',
-    ('lempel', 5, 6, None): 'ae1f658f973f22ee300a6c633d5e948481f299d9c4535a74f1ff6122f19a51dd',
-    ('lempel', 3, 7, None): '7a9da50ea837a000f74ce5cc9c61f29aa4075f8554e55f9a7389a52261c4d70c',
-    ('lempel', 4, 7, None): '46700cf324d8120deccdadc62768da1ae0d550c4991bfe7a7935f2c5596ee656',
-    ('lempel', 3, 8, None): 'b8cceaef13c0217c2cb5ef3af2dfcc3cd767d7886ed29f512d50752902dd2759',
-    ('lempel', 3, 9, None): 'fd759a3742c10c764378a8cf2cada496acc942b49ab3de12fbd16a5e8e0278d5',
+    ('c', 5, 3, None): '2ccafa5cbd85a635afb1cb63eb0ae6f9d01fe18ec0097ecc78dad745ec12c96b',
+    ('c', 7, 3, None): 'e167ea368e8d55230ec3f2c14ed6de55f55e7518f714e45f4ab414377ba33e1f',
+    ('c', 9, 3, None): 'e44cdcab76dec46ce41806ea4c1a320b3699b77fa5578365ee7ee2f36e145056',
+    ('c', 5, 4, None): '400b074d1224881aef752844091aed938f31a15b7f8a099e20786ade9c9ba0ae',
+    ('c', 7, 4, None): 'cbfc2c6494492a96d6a79d66a4024bcb15ec10f901a9682986861f97be2fe94e',
+    ('c', 9, 4, None): 'ac66a0a021e4d771bca394f1cee0fe501871d6a0d68f5730e968f34231b48e4e',
+    ('c', 5, 5, None): '3de60e65a94979b1a4bf526b6334d3c5cc595eb724aeb518e39ed3af6ba5cd97',
+    ('c', 7, 5, None): '9cb46a330e6a315c2a992e011e2a3dea8e622468835e6bcad0c6dc96bbe24356',
+    ('c', 5, 6, None): '84f28ce9a0f4c71fd68438a42beab1732c17516b7d23c36c3f5dc9e95512ec7b',
+    ('a_t', 5, 2, 1): '2a0338bf685fb94e7ccb7d2869642cac23cb5074cca8fcb6a2be385a00da03f9',
+    ('a_t', 6, 2, 1): '380d023992cb5f3c0f9c305592fe16c58cea39c5e42c42b95fb1b0bee9f3f547',
+    ('a_t', 7, 2, 1): '1154789e33aba3f7051b5fb42ee6f52fd6444a6ee52cf697fe31f2277d434898',
+    ('a_t', 8, 2, 1): '51e88055506ae843fc8842612ea74ed04a15ca68f140e828621a5927d3be6fbe',
+    ('a_t', 9, 2, 1): '4187b1752c7d0bf31bd052a6348807f5538d2059091ab650a9ef34db43703510',
+    ('a_t', 5, 3, 1): 'd3138004d024aa43fa861939642079a5b68f14efc4999b8eb2061f69618bbcbf',
+    ('a_t', 6, 3, 1): 'c0126683d3bc1203a51ea739e23ccb92096fdef302909eadde950309e4ce4f2f',
+    ('a_t', 7, 3, 1): '5c34d1280fa4ccbfc1305f0c6a392982819695c3ec95a3b66c47965a16053843',
+    ('a_t', 8, 3, 1): 'e7418ba4ffbfde41456de2b73d478cd43fa8e64adb623905a748be025f34ace5',
+    ('a_t', 9, 3, 1): 'aa23225e9fd75e9deeacbf7897cc123347532116f268500932c13c9259657ef8',
+    ('a_t', 5, 4, 1): 'ed30d75b3f8db4abba23fc9126dd310526a5ad50ec7ea8907085b65a1db57f4d',
+    ('a_t', 5, 4, 2): 'bc99de1b20b69c9b3bb5360212f5134c4bbdc69065038b4d24e0e0f4ee492543',
+    ('a_t', 6, 4, 1): '21074d95e49c6736b9442caf12a10ca4d262ab6134631ae48686abfa5d6bbaf2',
+    ('a_t', 6, 4, 2): '16002631ba379a70929a5c5e7aa837a476b129166f8a84d03e0f5535ae44e103',
+    ('a_t', 7, 4, 1): 'e2614b522021af897c78d47808738e6ec63100c90cd22db3b838782c0d95c094',
+    ('a_t', 7, 4, 2): 'a591cf346a387a278ab3c9ef4e689f761fc8d6aaf23c722a9d782a94779c8fd4',
+    ('a_t', 8, 4, 1): '26c8ae362c09fe48c3ea57ea090fc1249b99e425568e09307e2cbf79cfbf8d57',
+    ('a_t', 8, 4, 2): '3be7c089ccdf85697a9f27c66d48f8262418a3ee7cfaa0d030d69b60e064e540',
+    ('a_t', 9, 4, 1): '8cb0a97b95af52402bc6b1b13770cefab1d398e2bef9e8358c145ee333cc1173',
+    ('a_t', 9, 4, 2): '78d11e4a8ea85b572f23baa98204b6b5756ce42100e658a76f0c055dc0c9d597',
+    ('a_t', 5, 5, 1): '104159be88e5a64520c26d15e2b779e6bb8679efb0168f7dcfcfae7dd8d779b2',
+    ('a_t', 5, 5, 2): 'd9ad057fbb7385a96670d4a3217bb1069f83317ea00a47c9a1304395ba17d8c8',
+    ('a_t', 6, 5, 1): 'a49afdffaa7173ab214f00289e3fa5bc429ddd7e29322cceb04cdd2610e5b611',
+    ('a_t', 6, 5, 2): '1b5e7b02ad06cfaa2e3a5807086ca250b1ced95a1260c7517c92c39ac0466737',
+    ('a_t', 7, 5, 1): '96905b9f55c74e599dcb48170d4984db8c8271457c8fa7efb0fad70f40c81880',
+    ('a_t', 7, 5, 2): '85a856699728efe74d187feb24a26caa70fbce761817475a509a5b3ad2c317bc',
+    ('a_t', 8, 5, 1): '16279dd015e487d2f66776e457746575cddca03884529f7d8dbac26e9b835ecc',
+    ('a_t', 8, 5, 2): '2f0523f70034c4c3b150e5b3bfb2599c5128175bb59cacfb7b1475c5b90191c5',
+    ('a_t', 5, 6, 1): '1bb86ebc673a3fe83f28664e5aa6a093cb0811ee6e04dceb8c76286b0be9b6d1',
+    ('a_t', 5, 6, 2): 'df1f850031d58bbdaadcb13d3059e3d0ef82f8b1760bb6c4c3c26b9233f82279',
+    ('a_t', 5, 6, 3): 'ae4b9e6c5fbdaa664ddb1f68889441c6c3f9354a6c63b301b3714a4d31934e80',
+    ('a_t', 6, 6, 1): 'd2df5b3739d009257de69353ff7251caad52a528cdac56d69548d5b90cbacf73',
+    ('a_t', 6, 6, 2): '46a2b0b20c53ce164db46bc75e5e84da907e36eb5f28c91e337e738b904da1ec',
+    ('a_t', 6, 6, 3): '2d05656c6a8964fdf4fcf8bc7e4b7fcd6bedc7f7bd8005023f71bf4fb55a1520',
+    ('lempel', 3, 3, None): 'e876c1388c40c37859e21594ecae153e665f58e934c3ab00900de0b429eae5fa',
+    ('lempel', 4, 3, None): '4cebe272ad90dd3e1d6e531bfdc7aa6108cbf2b6e0461807264288bf1d758648',
+    ('lempel', 5, 3, None): '144059730bc414088a098832ef3c6d59677fe0362bf40ceea5561edefbc76c45',
+    ('lempel', 6, 3, None): '84770122ee3ff656fd8bc73c5662b5f1a4314003af413b091b39cce580f36357',
+    ('lempel', 7, 3, None): 'b2f18a5b487ea53469b3de503b29625b40334b7b4e066401b14c668b68e9bb78',
+    ('lempel', 8, 3, None): 'd11cfbbac579aff26d7c0634eb21ab43251ed8b5281f2887a3346e08a24aafe2',
+    ('lempel', 9, 3, None): '595da8af45c6b756bd62089394da0d9004ca2804fc585339e3d737ebab2962df',
+    ('lempel', 3, 4, None): 'd8f792cbd65e84cff7fd397d6103a24e7edef565bf2838bd1e4c2a894419d2b8',
+    ('lempel', 4, 4, None): '5f54c7a8263257ceb500e2d11c497d86214cc7e3bebc85dcf54117706a6d8726',
+    ('lempel', 5, 4, None): '952ccc754ea3ea7d8d7c6d3d03ad143801233739915818f200483c5ba5ac476f',
+    ('lempel', 6, 4, None): '09c5267141c9bae516a067a0272ed95feee3097496fead6c9f15ee3697ed1995',
+    ('lempel', 7, 4, None): '67a2660fc6e8eb07248ae3a6537565efb2dce3ba06a5740e4115ce2d10510d66',
+    ('lempel', 8, 4, None): 'ffbb3b477e69784c3f0b7e024b2ba64463564f1904c7033e9a9a83a930d98d8c',
+    ('lempel', 9, 4, None): '3b598829a5ec2a8578c2637c09fd2f16d678b1a888e14fd5459936b3bb416e02',
+    ('lempel', 3, 5, None): 'c9e792268f20938f07d04c00a54adc7ba6c1e2ee34ca1788ef444261c3cc1c3a',
+    ('lempel', 4, 5, None): 'bb26decd07d2273f1a836bc7d177ae94e2d5f01a8da203524e039e4d3b2d87c9',
+    ('lempel', 5, 5, None): 'a56c9e705ccb0cddc2076fa623139b763c9068f57d53e87e33a5091db40235cb',
+    ('lempel', 6, 5, None): '5af9fdbba85195ae918b4eeb90422702bd237fcddcfa48794c4fd7073afcc300',
+    ('lempel', 7, 5, None): '5c65ea3cfe82134b8a8af874028aacfbd9320a8a13c5c64935b4dc7ce99a8670',
+    ('lempel', 8, 5, None): '51686e80821c3f2de0a82acb86d647024487afa9ecc192bde2a3f1aab0e76e11',
+    ('lempel', 3, 6, None): 'ca9ab1feb3d480b4be99ea3eb608b8fde0b9b4715879efc67f836a470f721e33',
+    ('lempel', 4, 6, None): 'eee390a4b095dcb9d9b04d86851ca6e744ec732e6cbbcf72a94625674a9473d1',
+    ('lempel', 5, 6, None): '5b12096866701d2d77e247aed1532e9343218434426694964cfab4cfbb95af3b',
+    ('lempel', 3, 7, None): '0a4dcd8daddaa15083222fd2ae3bde7ad9fd7c7151c46b53cde39702bb3501ef',
+    ('lempel', 4, 7, None): '9ca1ece11bf676fca8af9a9c5b0d45fe8614fbccf1b8c0d74f512f2893dd51ce',
+    ('lempel', 3, 8, None): '006edf2d54c0beb7a4335de44b987130fee4f542391fcb02b89a1b48da2281fe',
+    ('lempel', 3, 9, None): '8fe7651c0ff17ac3d5f0821498992889b339110b0d9507bed8a972dd0b26c5e9',
 }
 
 

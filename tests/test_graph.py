@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oseq import graph
 from oseq.errors import DomainError, ResourceCapError
 from oseq.graph import (
     DBSubgraph,
@@ -23,6 +24,7 @@ from oseq.graph import (
     tuple_to_code,
     window_codes,
 )
+from oseq.graph import _cycle_labels, _cycle_ranks, _index_dtype
 from oseq.tuples import ZkTuple, is_symmetric
 
 
@@ -104,6 +106,35 @@ def test_antinegasymmetry_witness():
     assert ok
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.data())
+def test_reversal_checks_match_set_reference(k, order, data):
+    words = data.draw(st.sets(st.tuples(*[st.integers(0, k - 1)] * (order + 1)),
+                              max_size=30))
+    g = build_subgraph(k, order, words)
+    mirrors = [lambda w: w[::-1],
+               lambda w: tuple((-s) % k for s in reversed(w))]
+    for check, mirror in zip((is_antisymmetric, is_antinegasymmetric), mirrors):
+        bad = sorted(w for w in words if mirror(w) in words)
+        want = (True, None) if not bad else (False, (bad[0], mirror(bad[0])))
+        assert check(g) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 4),
+       st.lists(st.integers(0, 3), min_size=1, max_size=40))
+def test_edge_graph_of_sequence_matches_set_reference(k, n, symbols):
+    symbols = [s % k for s in symbols]
+    m = len(symbols)
+    windows = {tuple(symbols[(i + j) % m] for j in range(n)) for i in range(m)}
+    if len(windows) < m:
+        with pytest.raises(DomainError, match=f"only {len(windows)} distinct "
+                                              f"windows in a period of {m}"):
+            edge_graph_of_sequence(symbols, n, k)
+    else:
+        assert edge_graph_of_sequence(symbols, n, k).edge_tuples() == sorted(windows)
+
+
 def test_balance_reports_offenders():
     ok, offenders = is_balanced(build_subgraph(2, 1, [(0, 1)]))
     assert not ok
@@ -149,11 +180,130 @@ def test_eulerian_circuit_preconditions():
         eulerian_circuit(build_subgraph(2, 1, [(0, 1)]))
     with pytest.raises(DomainError, match="connected"):
         eulerian_circuit(build_subgraph(4, 1, [(0, 1), (1, 0), (2, 3), (3, 2)]))
-    # The first closed walk succeeds; the edge left over is unbalanced.
+    # A loop and a stray edge: both ends of the stray edge are unbalanced.
     with pytest.raises(DomainError, match="balanced"):
         eulerian_circuit(build_subgraph(3, 1, [(0, 0), (1, 2)]))
     with pytest.raises(DomainError):
         eulerian_circuit(build_subgraph(2, 1, []))
+
+
+def _eulerian_union(k, order, seed, walks):
+    """A balanced, connected subgraph: the union of edge-disjoint cyclic
+    sequences that all pass through the vertex 0^order."""
+    rng = np.random.default_rng(seed)
+    edges = set()
+    for _ in range(walks):
+        tail = rng.integers(0, k, int(rng.integers(1, 3 * k))).tolist()
+        cyclic = [0] * order + tail
+        windows = {tuple((cyclic + cyclic)[i:i + order + 1])
+                   for i in range(len(cyclic))}
+        if len(windows) == len(cyclic) and not windows & edges:
+            edges |= windows
+    return build_subgraph(k, order, edges)
+
+
+def _reference_circuit(g):
+    """The documented circuit order, by plain walks over Python lists."""
+    edges = g.edges.tolist()
+    k, base = g.k, g.k**g.order
+    outs, ins = {}, {}
+    for i, e in enumerate(edges):
+        outs.setdefault(e // k, []).append(i)
+        ins.setdefault(e % base, []).append(i)
+    succ = [0] * len(edges)
+    for v, into in ins.items():
+        for x, y in zip(into, outs[v]):
+            succ[x] = y
+    label = [None] * len(edges)
+    for i in range(len(edges)):
+        if label[i] is None:
+            cycle, j = [i], succ[i]
+            while j != i:
+                cycle.append(j)
+                j = succ[j]
+            for j in cycle:
+                label[j] = i
+    root = {x: x for x in set(label)}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for v in sorted(ins):
+        for x, y in zip(ins[v], ins[v][1:]):
+            a, b = find(label[x]), find(label[y])
+            if a != b:
+                root[a] = b
+                succ[x], succ[y] = succ[y], succ[x]
+    walk, j = [edges[0]], succ[0]
+    while j != 0:
+        walk.append(edges[j])
+        j = succ[j]
+    return walk
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.integers(1, 6))
+def test_circuit_of_random_eulerian_union(k, order, seed, walks):
+    g = _eulerian_union(k, order, seed, walks)
+    assume(g.edge_count > 0)
+    c = eulerian_circuit(g)
+    assert np.array_equal(np.sort(c.edges), g.edges)
+    assert np.array_equal(c.edges % k**order, np.roll(c.edges, -1) // k)
+    assert c.start_vertex == code_to_tuple(int(g.vertex_codes[0]), k, order)
+    assert c.edges.tolist() == _reference_circuit(g)
+    assert np.array_equal(eulerian_circuit(g).edges, c.edges)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_circuit_failures_on_random_unions(k, order, seed):
+    g = _eulerian_union(k, order, seed, 4)
+    assume(g.edge_count > 0)
+    # Over 2k symbols, a copy written in symbols k..2k-1 shares no vertex.
+    words = g.edge_tuples()
+    apart = build_subgraph(2 * k, order,
+                           words + [tuple(s + k for s in w) for w in words])
+    with pytest.raises(DomainError, match="connected"):
+        eulerian_circuit(apart)
+    # Dropping an edge that is not a loop unbalances both of its ends.
+    drop = int(np.flatnonzero(g.sources != g.targets)[0])
+    with pytest.raises(DomainError, match="balanced"):
+        eulerian_circuit(DBSubgraph(k, order, np.delete(g.edges, drop)))
+
+
+def test_circuit_with_wide_indexes(monkeypatch):
+    # Edge sets of 2**31 edges or more index with int64; force that path.
+    g = _eulerian_union(4, 3, 7, 12)
+    narrow = eulerian_circuit(g)
+    monkeypatch.setattr(graph, "_index_dtype", lambda m: np.int64)
+    assert np.array_equal(eulerian_circuit(g).edges, narrow.edges)
+    assert _index_dtype(2**31 - 1) is np.int32
+    assert _index_dtype(2**31) is np.int64
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.randoms(use_true_random=False))
+def test_doubling_helpers_in_int64(m, rnd):
+    # Random cycles, labelled and ranked against plain walks.
+    order = rnd.sample(range(m), m)
+    cuts = sorted(rnd.sample(range(1, m), rnd.randint(0, m - 1)))
+    cycles = [order[lo:hi] for lo, hi in zip([0] + cuts, cuts + [m])]
+    succ = np.empty(m, dtype=np.int64)
+    for cycle in cycles:
+        succ[cycle] = np.roll(cycle, -1)
+    labels = _cycle_labels(succ)
+    assert labels.dtype == np.int64
+    for cycle in cycles:
+        assert set(labels[cycle].tolist()) == {min(cycle)}
+    walk = order[order.index(0):] + order[:order.index(0)]
+    whole = np.empty(m, dtype=np.int64)
+    whole[walk] = np.roll(walk, -1)
+    ranks = _cycle_ranks(whole)
+    assert ranks.dtype == np.int64
+    assert ranks[walk].tolist() == list(range(m))
 
 
 def test_window_codes_reverse():

@@ -40,6 +40,16 @@ def test_format_symbols():
     assert format_symbols([0, 10, 3], 11) == "0,10,3"
 
 
+@pytest.mark.parametrize("k", [2, 10, 11])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_format_symbols_matches_per_symbol_strings(k, dtype):
+    symbols = np.random.default_rng(k).integers(0, k, 5000).astype(dtype)
+    items = [str(int(s)) for s in symbols]
+    want = "".join(items) if k <= 10 else ",".join(items)
+    assert format_symbols(symbols, k) == want
+    assert format_symbols(symbols.tolist(), k) == want
+
+
 def test_serialize_round_trip():
     seq = make_seq(5, 3, [0, 1, 2, 3, 4, 1])
     text = serialize_sequence(seq, method="a")
