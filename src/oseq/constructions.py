@@ -215,18 +215,15 @@ def _build_graph(recipe: ConstructionRecipe) -> DBSubgraph:
 def expected_period(recipe: ConstructionRecipe) -> int:
     """The period the recipe is guaranteed to produce when it succeeds.
 
-    End-difference family: floor((k-1)/2) * k**(n-1).  Lift: k times half
-    the count of (n-1)-tuples off the pseudoweight threshold.  The block
-    variant with t >= 2 has no closed form here; its edge set is counted
-    directly.
+    End-difference family, block variant included: floor((k-1)/2) *
+    k**(n-1).  The first and last t symbols are disjoint when 2t <= n, so
+    over all n-tuples the difference of their sums is uniform modulo k,
+    as it is for t = 1.  Lift: k times half the count of (n-1)-tuples off
+    the pseudoweight threshold.
     """
     k, n = recipe.k, recipe.n
-    if recipe.method in (Method.END_DIFFERENCE, Method.ODD_END_DIFFERENCE):
+    if recipe.method is not Method.LEMPEL_LIFT:
         return (k - 1) // 2 * k ** (n - 1)
-    if recipe.method is Method.BLOCK_END_DIFFERENCE:
-        if recipe.t == 1:
-            return (k - 1) // 2 * k ** (n - 1)
-        return block_end_difference_graph(k, n, recipe.t).edge_count
     threshold_count = count_by_doubled_pseudoweight(k, n - 1, (n - 1) * k)
     below_pairs = k ** (n - 1) - threshold_count
     if below_pairs % 2:

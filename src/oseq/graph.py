@@ -15,9 +15,10 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, InternalInvariantError, ResourceCapError
-from .tuples import ZkTuple
+from .tuples import ZkTuple, checked_word
 
 DEFAULT_EDGE_CAP = 1 << 26
 EDGE_CAP_ENV = "OSEQ_EDGE_CAP"
@@ -78,10 +79,17 @@ def _codes_to_digits(codes: np.ndarray, k: int, length: int) -> np.ndarray:
 
 
 def _digits_to_codes(digits: np.ndarray, k: int) -> np.ndarray:
+    """Base-k code of each row of a symbol matrix, most significant first."""
     codes = np.zeros(digits.shape[0], dtype=np.int64)
     for i in range(digits.shape[1]):
-        codes = codes * k + digits[:, i]
+        codes *= k
+        codes += digits[:, i]
     return codes
+
+
+def _code_tuples(codes: np.ndarray, k: int, length: int) -> list[tuple[int, ...]]:
+    """Codes as plain symbol tuples, most significant symbol first."""
+    return list(map(tuple, _codes_to_digits(codes, k, length).tolist()))
 
 
 def _reverse_codes(codes: np.ndarray, k: int, length: int,
@@ -180,23 +188,13 @@ class DBSubgraph:
 
     def edge_tuples(self) -> list[tuple[int, ...]]:
         """All edges as plain symbol tuples, in lexicographic order."""
-        digits = _codes_to_digits(self.edges, self.k, self.order + 1)
-        return [tuple(int(x) for x in row) for row in digits]
+        return _code_tuples(self.edges, self.k, self.order + 1)
 
     def __contains__(self, edge) -> bool:
-        code = self._edge_code(edge)
+        code = tuple_to_code(checked_word(edge, self.k, self.order + 1, "edge"),
+                             self.k)
         i = int(np.searchsorted(self.edges, code))
         return i < self.edges.size and int(self.edges[i]) == code
-
-    def _edge_code(self, edge) -> int:
-        if isinstance(edge, ZkTuple):
-            if edge.k != self.k:
-                raise DomainError(f"mixed alphabets: {edge.k} vs {self.k}")
-            edge = edge.symbols
-        if len(edge) != self.order + 1:
-            raise DomainError(
-                f"edge must have {self.order + 1} symbols, got {len(edge)}")
-        return tuple_to_code(edge, self.k)
 
 
 def build_subgraph(k: int, order: int,
@@ -209,22 +207,8 @@ def build_subgraph(k: int, order: int,
         raise DomainError(f"alphabet size must be at least 2, got {k}")
     if order < 1:
         raise DomainError(f"order must be at least 1, got {order}")
-    length = order + 1
-    codes = []
-    for edge in edges:
-        if isinstance(edge, ZkTuple):
-            if edge.k != k:
-                raise DomainError(f"mixed alphabets: {edge.k} vs {k}")
-            symbols = edge.symbols
-        else:
-            symbols = tuple(int(s) for s in edge)
-            for s in symbols:
-                if not 0 <= s < k:
-                    raise DomainError(f"symbol {s} out of range for alphabet size {k}")
-        if len(symbols) != length:
-            raise DomainError(
-                f"edge must have {length} symbols, got {len(symbols)}")
-        codes.append(tuple_to_code(symbols, k))
+    codes = [tuple_to_code(checked_word(edge, k, order + 1, "edge"), k)
+             for edge in edges]
     arr = _sorted_unique(np.asarray(codes, dtype=np.int64))
     return DBSubgraph(k, order, arr, duplicates_dropped=len(codes) - arr.size)
 
@@ -408,8 +392,7 @@ class EulerianCircuit:
         return int(self.edges.size)
 
     def edge_tuples(self) -> list[tuple[int, ...]]:
-        digits = _codes_to_digits(self.edges, self.k, self.order + 1)
-        return [tuple(int(x) for x in row) for row in digits]
+        return _code_tuples(self.edges, self.k, self.order + 1)
 
 
 def _index_dtype(m: int) -> type:
@@ -496,6 +479,8 @@ def _join_cycles(succ: np.ndarray, in_order: np.ndarray,
         if ra != rb:
             parent[ra] = rb
             joins.append(p)
+            if len(joins) == cycles - 1:
+                break
     if len(joins) != cycles - 1:
         return False
     for p in joins:
@@ -570,16 +555,14 @@ def window_codes(symbols: np.ndarray | Sequence[int], n: int, k: int,
     forward window at i.
     """
     _check_code_width(k, n)
-    s = np.asarray(symbols, dtype=np.int64)
-    m = s.size
-    if m == 0:
+    s = np.asarray(symbols)
+    if not np.can_cast(s.dtype, np.int64):
+        s = s.astype(np.int64)
+    if s.size == 0:
         raise DomainError("sequence period must be at least 1")
-    codes = np.zeros(m, dtype=np.int64)
-    positions = range(n - 1, -1, -1) if reverse else range(n)
-    idx = np.arange(m)
-    for j in positions:
-        codes = codes * k + s[(idx + j) % m]
-    return codes
+    # np.resize repeats the period, so it also wraps periods below n - 1.
+    windows = sliding_window_view(np.concatenate([s, np.resize(s, n - 1)]), n)
+    return _digits_to_codes(windows[:, ::-1] if reverse else windows, k)
 
 
 def edge_graph_of_sequence(symbols: np.ndarray | Sequence[int], n: int,

@@ -16,9 +16,9 @@ import numpy as np
 
 from .bounds import period_upper_bound
 from .errors import DomainError, ResourceCapError
-from .graph import tuple_to_code, window_codes
+from .graph import _reverse_codes, tuple_to_code, window_codes
 from .sequences import OrientableSequence
-from .tuples import ZkTuple
+from .tuples import checked_word
 
 EXHAUSTIVE_STATE_CAP = 256
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -56,7 +56,7 @@ def _validated_symbols(symbols, k: int) -> np.ndarray:
         raise DomainError("sequence must be a nonempty 1-d array of symbols")
     if int(s.min()) < 0 or int(s.max()) >= k:
         raise DomainError(f"symbol out of range for alphabet size {k}")
-    return s.astype(np.int64)
+    return s
 
 
 def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
@@ -76,10 +76,11 @@ def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
                             message=f"period {m} is shorter than window length {n}")
     fwd = window_codes(s, n, k)
     rev = window_codes(s, n, k, reverse=True)
-    sorted_fwd = np.sort(fwd)
-    has_dup = bool(np.any(sorted_fwd[1:] == sorted_fwd[:-1]))
-    has_rev = bool(np.isin(rev, fwd).any())
-    if not has_dup and not has_rev:
+    # Reversal is injective, so the 2m codes are distinct exactly when the
+    # windows are distinct and none is the reversal of any window.
+    codes = np.concatenate([fwd, rev])
+    codes.sort()
+    if not np.any(codes[1:] == codes[:-1]):
         return VerifyResult(True)
     # A violation exists; rescan in plain Python to report the first one.
     fwd_list = fwd.tolist()
@@ -106,19 +107,6 @@ class LocateResult:
     direction: Direction
 
 
-def _window_symbols(window, k: int, n: int) -> np.ndarray:
-    if isinstance(window, ZkTuple):
-        if window.k != k:
-            raise DomainError(f"mixed alphabets: {window.k} vs {k}")
-        window = window.symbols
-    w = np.asarray(window)
-    if w.ndim != 1 or w.size != n:
-        raise DomainError(f"window must have exactly {n} symbols")
-    if w.size and (int(w.min()) < 0 or int(w.max()) >= k):
-        raise DomainError(f"symbol out of range for alphabet size {k}")
-    return w.astype(np.int64)
-
-
 def locate(seq: OrientableSequence, window) -> LocateResult | None:
     """Find the unique read position of an n-window, if it has one.
 
@@ -126,7 +114,7 @@ def locate(seq: OrientableSequence, window) -> LocateResult | None:
     (i, reverse) means it is that same stretch read backwards.  Returns
     None when the window occurs in neither direction.
     """
-    w = _window_symbols(window, seq.k, seq.n)
+    w = checked_word(window, seq.k, seq.n, "window")
     fwd = window_codes(np.asarray(seq.symbols), seq.n, seq.k)
     for direction, word in ((Direction.FORWARD, w), (Direction.REVERSE, w[::-1])):
         hits = np.flatnonzero(fwd == tuple_to_code(word, seq.k))
@@ -170,13 +158,7 @@ def exhaustive_max_period(k: int, n: int,
             f"{k}**{n} = {total} exceeds exhaustive-search cap "
             f"{EXHAUSTIVE_STATE_CAP}")
     vbase = k ** (n - 1)
-    rev = [0] * total
-    for e in range(total):
-        code, r = e, 0
-        for _ in range(n):
-            code, d = divmod(code, k)
-            r = r * k + d
-        rev[e] = r
+    rev = _reverse_codes(np.arange(total), k, n).tolist()
     bound = period_upper_bound(k, n)
     best = 0
     best_walk: list[int] | None = None

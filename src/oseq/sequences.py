@@ -69,17 +69,19 @@ def parse_symbols(raw: str, k: int) -> tuple[int, ...]:
     """Parse symbols written as format_symbols writes them for alphabet
     size k, checking that each lies in Z_k."""
     if k <= 10:
-        if not raw.isdigit():
+        if not (raw.isascii() and raw.isdigit()):
             raise DomainError("symbols must be contiguous digits for k <= 10")
-        symbols = tuple(int(c) for c in raw)
+        digits = np.frombuffer(raw.encode("ascii"), np.uint8) - ord("0")
+        top, symbols = int(digits.max()), digits.tolist()
     else:
-        try:
-            symbols = tuple(int(part) for part in raw.split(","))
-        except ValueError as exc:
-            raise DomainError("symbols must be comma-separated integers") from exc
-    if any(s < 0 or s >= k for s in symbols):
+        parts = raw.split(",")
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise DomainError("symbols must be comma-separated integers")
+        symbols = [int(p) for p in parts]
+        top = max(symbols)
+    if top >= k:
         raise DomainError(f"symbol out of range for alphabet size {k}")
-    return symbols
+    return tuple(symbols)
 
 
 def format_symbols(symbols: Sequence[int] | np.ndarray, k: int) -> str:

@@ -58,6 +58,27 @@ class ZkTuple:
         return ZkTuple(self.k, tuple((-s) % self.k for s in self.symbols))
 
 
+def checked_word(word: "ZkTuple | Sequence[int]", k: int, length: int,
+                 noun: str) -> tuple[int, ...]:
+    """The symbols of a word that must have the given length over Z_k.
+
+    noun ("edge", "window") names the word in the DomainError raised for
+    a mixed alphabet, a wrong length or a symbol outside Z_k.
+    """
+    if isinstance(word, ZkTuple):
+        if word.k != k:
+            raise DomainError(f"mixed alphabets: {word.k} vs {k}")
+        symbols = word.symbols
+    else:
+        symbols = tuple(int(s) for s in word)
+    if len(symbols) != length:
+        raise DomainError(f"{noun} must have {length} symbols, got {len(symbols)}")
+    for s in symbols:
+        if not 0 <= s < k:
+            raise DomainError(f"symbol {s} out of range for alphabet size {k}")
+    return symbols
+
+
 def _symbols_of(t: "ZkTuple | Sequence[int]") -> Sequence[int]:
     return t.symbols if isinstance(t, ZkTuple) else t
 

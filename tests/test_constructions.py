@@ -132,6 +132,17 @@ def test_block_end_difference_edge_count():
     assert block_end_difference_graph(5, 4, 2).edge_count == 250
 
 
+def test_expected_period_of_block_variant_is_closed_form():
+    # The two disjoint blocks' sums differ uniformly modulo k, so every
+    # block width keeps the edge count of t = 1.
+    for k in range(5, 10):
+        for n in range(2, 7):
+            for t in range(1, n // 2 + 1):
+                recipe = ConstructionRecipe(Method.BLOCK_END_DIFFERENCE, k, n, t)
+                want = block_end_difference_graph(k, n, t).edge_count
+                assert expected_period(recipe) == want == (k - 1) // 2 * k ** (n - 1)
+
+
 def test_odd_end_difference_graph_edges():
     g = odd_end_difference_graph(5, 2)
     for t in g.edge_tuples():

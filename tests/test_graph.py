@@ -354,3 +354,68 @@ def test_subgraph_equality():
     c = build_subgraph(3, 2, [(0, 1, 2)])
     assert a == b
     assert a != c
+
+
+def reference_window_codes(symbols, n, k, reverse):
+    m = len(symbols)
+    codes = []
+    for i in range(m):
+        word = [int(symbols[(i + d) % m]) for d in range(n)]
+        codes.append(tuple_to_code(word[::-1] if reverse else word, k))
+    return codes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=6).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.integers(min_value=1, max_value=7),
+        st.lists(st.integers(min_value=0, max_value=k - 1),
+                 min_size=1, max_size=12),
+        st.sampled_from([np.uint8, np.int64]),
+        st.booleans(),
+    )
+))
+def test_window_codes_match_reference(case):
+    k, n, symbols, dtype, reverse = case
+    got = window_codes(np.asarray(symbols, dtype=dtype), n, k, reverse=reverse)
+    assert got.dtype == np.int64
+    assert got.tolist() == reference_window_codes(symbols, n, k, reverse)
+
+
+def test_window_codes_wrap_periods_shorter_than_window():
+    # Period 2 with windows of 5 wraps the period more than once.
+    assert window_codes(np.array([1, 0], np.uint8), 5, 2).tolist() == [
+        tuple_to_code((1, 0, 1, 0, 1), 2), tuple_to_code((0, 1, 0, 1, 0), 2)]
+    assert window_codes([2], 3, 3, reverse=True).tolist() == [26]
+    with pytest.raises(DomainError, match="period must be at least 1"):
+        window_codes([], 3, 3)
+
+
+def test_contains_range_checks_symbols():
+    # (0, 3, 0) and (1, -1, 0) would alias the codes of (1, 0, 0) and
+    # (0, 2, 0) if their symbols were not checked.
+    g = build_subgraph(3, 2, [(1, 0, 0), (0, 2, 0)])
+    for edge, bad in [((0, 3, 0), 3), ((1, -1, 0), -1)]:
+        with pytest.raises(DomainError,
+                           match=f"symbol {bad} out of range for alphabet size 3"):
+            edge in g
+        with pytest.raises(DomainError,
+                           match=f"symbol {bad} out of range for alphabet size 3"):
+            build_subgraph(3, 2, [edge])
+    assert (1, 0, 0) in g and ZkTuple(3, (0, 2, 0)) in g
+    assert (0, 0, 0) not in g
+
+
+@pytest.mark.parametrize("edge,message", [
+    (ZkTuple(4, (0, 1, 2)), "mixed alphabets: 4 vs 3"),
+    ((0, 1), "edge must have 3 symbols, got 2"),
+    ((0, 1, 2, 0), "edge must have 3 symbols, got 4"),
+    ((0, 1, 5), "symbol 5 out of range for alphabet size 3"),
+])
+def test_edge_validation_messages(edge, message):
+    g = build_subgraph(3, 2, [(0, 1, 2)])
+    with pytest.raises(DomainError, match=message):
+        edge in g
+    with pytest.raises(DomainError, match=message):
+        build_subgraph(3, 2, [edge])

@@ -15,6 +15,7 @@ from oseq.oracle import (
     verify,
 )
 from oseq.sequences import OrientableSequence
+from oseq.tuples import ZkTuple
 
 # Explicit published sequences: period 50 over Z_5 with windows of length 3,
 # period 20 over Z_4 (length 3), period 30 over Z_3 (length 4).
@@ -196,3 +197,47 @@ def test_verify_accepts_all_rotations_of_published_example():
     arr = digits(EXAMPLE_3_4)
     for rot in range(arr.size):
         assert verify(np.roll(arr, rot), 4, 3).accepted
+
+
+def reference_verdict(symbols, n):
+    """The documented rule, scanned in plain Python: at each j in turn, a
+    window equal to an earlier one is a duplicate; otherwise a window
+    whose reversal is window i <= j is a reversal."""
+    m = len(symbols)
+    if m < n:
+        return (False, "short-period", None, None)
+    windows = [tuple(symbols[(j + d) % m] for d in range(n)) for j in range(m)]
+    for j, w in enumerate(windows):
+        if w in windows[:j]:
+            return (False, "duplicate", windows.index(w), j)
+        if w[::-1] in windows[:j + 1]:
+            return (False, "reversal", windows.index(w[::-1]), j)
+    return (True, None, None, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=4).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.integers(min_value=1, max_value=5),
+        st.lists(st.integers(min_value=0, max_value=k - 1),
+                 min_size=1, max_size=16),
+    )
+))
+def test_verify_reports_first_offender(knseq):
+    k, n, seq = knseq
+    v = verify(np.array(seq, dtype=np.uint8), n, k)
+    assert (v.accepted, v.kind, v.i, v.j) == reference_verdict(seq, n)
+
+
+@pytest.mark.parametrize("window,message", [
+    (ZkTuple(4, (0, 1, 2)), "mixed alphabets: 4 vs 5"),
+    ((0, 1), "window must have 3 symbols, got 2"),
+    ((0, 1, 2, 3), "window must have 3 symbols, got 4"),
+    ((0, 1, 5), "symbol 5 out of range for alphabet size 5"),
+    ((0, -1, 2), "symbol -1 out of range for alphabet size 5"),
+])
+def test_locate_window_validation_messages(window, message):
+    seq = generate(ConstructionRecipe(Method.END_DIFFERENCE, 5, 3))
+    with pytest.raises(DomainError, match=message):
+        locate(seq, window)

@@ -112,6 +112,11 @@ def test_serialize_parse_identity(kv):
 def test_parse_symbols_follows_alphabet_format():
     assert parse_symbols("0120", 3) == (0, 1, 2, 0)
     assert parse_symbols("10,0,11", 12) == (10, 0, 11)
-    for raw, k in [("013", 3), ("0,1", 3), ("1,x", 12), ("12,3", 12), ("", 4)]:
+    # Only ASCII decimal digits count: int() would also take the
+    # Arabic-Indic "٣١٢", strip " " and "+", and read "1_0" as 10.
+    for raw, k in [("013", 3), ("0,1", 3), ("1,x", 12), ("12,3", 12), ("", 4),
+                   ("٣١٢", 4), ("²1", 4), ("1_0,2", 12), (" 3,+4", 12),
+                   ("3,,4", 12)]:
         with pytest.raises(DomainError):
             parse_symbols(raw, k)
+
