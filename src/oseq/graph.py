@@ -555,14 +555,55 @@ def window_codes(symbols: np.ndarray | Sequence[int], n: int, k: int,
     forward window at i.
     """
     _check_code_width(k, n)
+    windows = _cyclic_windows(symbols, n)
+    return _digits_to_codes(windows[:, ::-1] if reverse else windows, k)
+
+
+def window_ids(symbols: np.ndarray | Sequence[int], n: int,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the forward and of the reversed cyclic n-windows of one period.
+
+    Two windows, forward or reversed, get equal ids exactly when they
+    are equal.  The ids are the codes of window_codes when k**n fits in
+    64 bits; otherwise they are dense ranks, so any k and n work.
+    """
+    windows = _cyclic_windows(symbols, n)
+    if k**n <= _INT64_MAX:
+        return _digits_to_codes(windows, k), _digits_to_codes(windows[:, ::-1], k)
+    _check_code_width(k, 1)
+    width = 1
+    while k ** (width + 1) <= _INT64_MAX:
+        width += 1
+    return _dense_window_ids(windows, k, width)
+
+
+def _dense_window_ids(windows: np.ndarray, k: int,
+                      width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank the m forward and m reversed rows of a window matrix among
+    all 2m, comparing them as base-k words of at most width symbols."""
+    m = windows.shape[0]
+    keys = [np.concatenate([_digits_to_codes(rows[:, a:a + width], k)
+                            for rows in (windows, windows[:, ::-1])])
+            for a in range(0, windows.shape[1], width)]
+    order = np.lexsort(keys)
+    new = np.zeros(2 * m, dtype=bool)
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    ids = np.empty(2 * m, dtype=np.int64)
+    ids[order] = np.cumsum(new)
+    return ids[:m], ids[m:]
+
+
+def _cyclic_windows(symbols: np.ndarray | Sequence[int], n: int) -> np.ndarray:
+    """Read-only m x n view whose row i is the cyclic window at i."""
     s = np.asarray(symbols)
     if not np.can_cast(s.dtype, np.int64):
         s = s.astype(np.int64)
     if s.size == 0:
         raise DomainError("sequence period must be at least 1")
     # np.resize repeats the period, so it also wraps periods below n - 1.
-    windows = sliding_window_view(np.concatenate([s, np.resize(s, n - 1)]), n)
-    return _digits_to_codes(windows[:, ::-1] if reverse else windows, k)
+    return sliding_window_view(np.concatenate([s, np.resize(s, n - 1)]), n)
 
 
 def edge_graph_of_sequence(symbols: np.ndarray | Sequence[int], n: int,

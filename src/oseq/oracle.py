@@ -16,12 +16,13 @@ import numpy as np
 
 from .bounds import period_upper_bound
 from .errors import DomainError, ResourceCapError
-from .graph import _reverse_codes, tuple_to_code, window_codes
+from .graph import _reverse_codes, tuple_to_code, window_codes, window_ids
 from .sequences import OrientableSequence
 from .tuples import checked_word
 
 EXHAUSTIVE_STATE_CAP = 256
 DEFAULT_NODE_BUDGET = 5_000_000
+FIRST_PREFIX = 64
 
 
 class Direction(str, Enum):
@@ -36,8 +37,10 @@ class VerifyResult:
     kind is "duplicate" when windows i and j are equal, "reversal" when
     window i is window j read backwards (i == j flags a palindromic
     window), and "short-period" when the period is below the window
-    length.  Scanning is by increasing j, so the report pinpoints the
-    first position at which the prefix stops being extendable.
+    length.  The pair is the first offence by increasing j: window j
+    either equals an earlier window i, or, failing that, is the reversal
+    of a window i <= j.  So the report pinpoints the first position at
+    which the prefix stops being extendable.
     """
 
     accepted: bool
@@ -63,7 +66,11 @@ def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
     """Decide whether one period yields distinct, reversal-free n-windows.
 
     Windows wrap cyclically.  Candidates shorter than n are rejected
-    outright rather than unrolled.
+    outright rather than unrolled.  Any k and n work: when k**n exceeds
+    64-bit window codes, windows are compared through dense ids.  One
+    sort of all forward and reversed ids decides; a rejection then names
+    its witness from the shortest doubling prefix that shows an offence,
+    not from a scan of the whole period.
     """
     if k < 2:
         raise DomainError(f"alphabet size must be at least 2, got {k}")
@@ -74,31 +81,59 @@ def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
     if m < n:
         return VerifyResult(False, kind="short-period",
                             message=f"period {m} is shorter than window length {n}")
-    fwd = window_codes(s, n, k)
-    rev = window_codes(s, n, k, reverse=True)
-    # Reversal is injective, so the 2m codes are distinct exactly when the
+    fwd, rev = window_ids(s, n, k)
+    # Reversal is injective, so the 2m ids are distinct exactly when the
     # windows are distinct and none is the reversal of any window.
-    codes = np.concatenate([fwd, rev])
-    codes.sort()
-    if not np.any(codes[1:] == codes[:-1]):
+    ids = np.concatenate([fwd, rev])
+    ids.sort()
+    repeated = _repeated(ids)
+    if not repeated.size:
         return VerifyResult(True)
-    # A violation exists; rescan in plain Python to report the first one.
-    fwd_list = fwd.tolist()
-    rev_list = rev.tolist()
+    return _first_offender(fwd, rev, repeated)
+
+
+def _repeated(ids: np.ndarray) -> np.ndarray:
+    """The ids that occur more than once in a sorted array."""
+    later = ids[1:]
+    return later[later == ids[:-1]]
+
+
+def _first_offender(fwd: np.ndarray, rev: np.ndarray,
+                    repeated: np.ndarray) -> VerifyResult:
+    """Apply the witness rule of VerifyResult, given the ids that repeat
+    among all 2m forward and reversed window ids.
+
+    An offence at window j pairs it with a window i <= j through an id
+    that occurs twice among the ids of windows 0..j, and any repeat
+    among those ids means an offence at some window up to j.  So the
+    first prefix, in doubling lengths, whose ids repeat holds the first
+    offender.  Only positions whose forward id repeats there take part:
+    when window j is window i reversed, window i is window j reversed.
+    """
+    size = FIRST_PREFIX
+    while size < fwd.size:
+        prefix = np.concatenate([fwd[:size], rev[:size]])
+        prefix.sort()
+        if (clashing := _repeated(prefix)).size:
+            repeated = clashing
+            break
+        size *= 2
+    keep = np.flatnonzero(np.isin(fwd[:size], repeated))
     seen: dict[int, int] = {}
-    for j, code in enumerate(fwd_list):
+    for j, code, reversed_code in zip(keep.tolist(), fwd[keep].tolist(),
+                                      rev[keep].tolist()):
         if code in seen:
             return VerifyResult(False, kind="duplicate", i=seen[code], j=j,
                                 message=f"windows {seen[code]} and {j} are equal")
         seen[code] = j
-        partner = seen.get(rev_list[j])
+        partner = seen.get(reversed_code)
         if partner is not None:
             return VerifyResult(
                 False, kind="reversal", i=partner, j=j,
                 message=(f"window {j} is window {partner} reversed"
                          if partner != j else
                          f"window {j} is a palindrome (its own reversal)"))
-    raise AssertionError("violation detected but not found on rescan")
+    raise AssertionError("violation detected but no offender found")
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,19 @@ def test_verify_rejects_corrupted(tmp_path, capsys):
     assert "kind=reversal" in capsys.readouterr().err
 
 
+def test_verify_wide_alphabet_file(tmp_path, capsys):
+    # 11**19 exceeds 64-bit window codes; verify still decides exactly.
+    symbols = np.random.default_rng(19).integers(0, 11, 3000)
+    path = tmp_path / "wide.txt"
+    for planted, code in ((False, 0), (True, 3)):
+        if planted:
+            symbols[2000:2019] = symbols[500:519]
+        path.write_text("k=11 n=19 period=3000 method=unknown\n"
+                        + ",".join(map(str, symbols)) + "\n")
+        assert run("verify", "--in", str(path)) == code
+    assert "kind=duplicate, i=500, j=2000" in capsys.readouterr().err
+
+
 def test_verify_missing_file(capsys):
     assert run("verify", "--in", "/no/such/file.txt") == 1
 

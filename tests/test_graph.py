@@ -23,8 +23,15 @@ from oseq.graph import (
     palindrome_free_de_bruijn,
     tuple_to_code,
     window_codes,
+    window_ids,
 )
-from oseq.graph import _cycle_labels, _cycle_ranks, _index_dtype
+from oseq.graph import (
+    _cycle_labels,
+    _cycle_ranks,
+    _cyclic_windows,
+    _dense_window_ids,
+    _index_dtype,
+)
 from oseq.tuples import ZkTuple, is_symmetric
 
 
@@ -381,6 +388,46 @@ def test_window_codes_match_reference(case):
     got = window_codes(np.asarray(symbols, dtype=dtype), n, k, reverse=reverse)
     assert got.dtype == np.int64
     assert got.tolist() == reference_window_codes(symbols, n, k, reverse)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=4).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.integers(min_value=1, max_value=6),
+        st.lists(st.integers(min_value=0, max_value=k - 1),
+                 min_size=1, max_size=20),
+    )
+))
+def test_dense_window_ids_keep_window_equality(case):
+    # Every word width, down to one symbol per word, must give equal ids
+    # to exactly the equal windows among all forward and reversed ones.
+    k, n, symbols = case
+    codes = window_codes(symbols, n, k).tolist() + window_codes(
+        symbols, n, k, reverse=True).tolist()
+    for width in range(1, n + 1):
+        fwd, rev = _dense_window_ids(_cyclic_windows(symbols, n), k, width)
+        ids = fwd.tolist() + rev.tolist()
+        assert sorted(set(ids)) == list(range(len(set(ids))))
+        assert {(a == b) == (c == d) for a, c in zip(codes, ids)
+                for b, d in zip(codes, ids)} == {True}
+
+
+def test_window_ids_switch_to_dense_ids_past_64_bits():
+    rng = np.random.default_rng(11)
+    narrow = rng.integers(0, 7, 50)
+    fwd, rev = window_ids(narrow, 7, 7)
+    assert fwd.tolist() == window_codes(narrow, 7, 7).tolist()
+    assert rev.tolist() == window_codes(narrow, 7, 7, reverse=True).tolist()
+    wide = rng.integers(0, 11, 50)
+    wide[30:49] = wide[0:19]
+    fwd, rev = window_ids(wide, 19, 11)
+    windows = [tuple(wide[(i + d) % 50] for d in range(19)) for i in range(50)]
+    words = windows + [w[::-1] for w in windows]
+    ids = fwd.tolist() + rev.tolist()
+    assert fwd[0] == fwd[30]
+    assert all((words[a] == words[b]) == (ids[a] == ids[b])
+               for a in range(100) for b in range(100))
 
 
 def test_window_codes_wrap_periods_shorter_than_window():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oseq.constructions import ConstructionRecipe, Method, generate
 from oseq.errors import DomainError, ResourceCapError
 from oseq.oracle import (
+    FIRST_PREFIX,
     Direction,
     exhaustive_max_period,
     locate,
@@ -228,6 +229,100 @@ def test_verify_reports_first_offender(knseq):
     k, n, seq = knseq
     v = verify(np.array(seq, dtype=np.uint8), n, k)
     assert (v.accepted, v.kind, v.i, v.j) == reference_verdict(seq, n)
+
+
+def scan_verdict(symbols, n):
+    """The documented rule in one pass of plain Python over the windows,
+    with verify's messages."""
+    m = len(symbols)
+    if m < n:
+        return (False, "short-period", None, None,
+                f"period {m} is shorter than window length {n}")
+    seen = {}
+    for j in range(m):
+        w = tuple(int(symbols[(j + d) % m]) for d in range(n))
+        if w in seen:
+            i = seen[w]
+            return (False, "duplicate", i, j, f"windows {i} and {j} are equal")
+        seen[w] = j
+        if w[::-1] in seen:
+            i = seen[w[::-1]]
+            return (False, "reversal", i, j,
+                    f"window {j} is window {i} reversed" if i != j else
+                    f"window {j} is a palindrome (its own reversal)")
+    return (True, None, None, None, "")
+
+
+def full_verdict(v):
+    return (v.accepted, v.kind, v.i, v.j, v.message)
+
+
+def test_verify_names_first_offender_past_doubling_boundaries():
+    seq = generate(ConstructionRecipe(Method.END_DIFFERENCE, 5, 5))
+    base = np.asarray(seq.symbols).astype(np.int64)
+    assert seq.period >= 1000
+    offenders = set()
+    positions = [p + d for p in (FIRST_PREFIX, 2 * FIRST_PREFIX, 4 * FIRST_PREFIX)
+                 for d in (-2, -1, 0, 1)] + [seq.period - 1]
+    for pos in positions:
+        for step in range(1, seq.k):
+            mutant = base.copy()
+            mutant[pos] = (mutant[pos] + step) % seq.k
+            v = verify(mutant, seq.n, seq.k)
+            assert full_verdict(v) == scan_verdict(mutant, seq.n)
+            offenders.add(v.j)
+    # A copy of window 10 over window j makes j, or a window the copy
+    # disturbs, the first offender, so offenders land on each boundary.
+    for j in sorted({p + d for p in positions for d in (-1, 0)}):
+        mutant = base.copy()
+        mutant[(j + np.arange(seq.n)) % seq.period] = base[10:10 + seq.n]
+        v = verify(mutant, seq.n, seq.k)
+        assert full_verdict(v) == scan_verdict(mutant, seq.n)
+        offenders.add(v.j)
+    for edge in (FIRST_PREFIX, 2 * FIRST_PREFIX, 4 * FIRST_PREFIX):
+        assert offenders & set(range(edge - 4, edge))
+        assert offenders & set(range(edge, edge + 4))
+    assert max(offenders) >= seq.period - seq.n
+
+
+@pytest.mark.parametrize("k,n,m", [(2, 8, 3000), (2, 20, 3000), (5, 4, 2000)])
+def test_verify_first_offender_on_zero_and_random_periods(k, n, m):
+    zeros = np.zeros(m, dtype=np.uint8)
+    assert full_verdict(verify(zeros, n, k)) == scan_verdict(zeros, n)
+    rng = np.random.default_rng(k * 1000 + n)
+    for _ in range(5):
+        symbols = rng.integers(0, k, m)
+        assert full_verdict(verify(symbols, n, k)) == scan_verdict(symbols, n)
+
+
+def wide_periods():
+    """Seeded periods whose k**n exceeds 64-bit window codes, orientable,
+    and copies of them with a planted duplicate or a planted reversal of
+    an earlier window."""
+    rng = np.random.default_rng(1993)
+    cases = []
+    for k, n, m in ((11, 19, 200), (11, 19, 5000), (2, 64, 500)):
+        symbols = rng.integers(0, k, m)
+        cases.append(pytest.param(symbols, k, n, True, id=f"k{k}-m{m}-orientable"))
+        for kind in ("duplicate", "reversal"):
+            a, b = rng.integers(m // 2 - n), rng.integers(m // 2, m - n)
+            planted = symbols.copy()
+            window = symbols[a:a + n]
+            planted[b:b + n] = window if kind == "duplicate" else window[::-1]
+            cases.append(pytest.param(planted, k, n, False, id=f"k{k}-m{m}-{kind}"))
+    return cases
+
+
+@pytest.mark.parametrize("symbols,k,n,orientable", wide_periods())
+def test_verify_wide_alphabet_matches_window_scan(symbols, k, n, orientable):
+    want = scan_verdict(symbols, n)
+    assert want[0] == orientable
+    assert full_verdict(verify(symbols, n, k)) == want
+
+
+def test_verify_refuses_symbols_past_64_bits():
+    with pytest.raises(ResourceCapError):
+        verify(np.array([0, 1, 2]), 2, 2**64)
 
 
 @pytest.mark.parametrize("window,message", [
