@@ -1,6 +1,32 @@
+import os
+
 import pytest
 
+# The extended tier: heavier rows of the acceptance criteria and the
+# largest pinned cells.  Off unless OSEQ_ACCEPTANCE_EXTENDED=1.
+EXTENDED = os.environ.get("OSEQ_ACCEPTANCE_EXTENDED") == "1"
+
 _ACCEPTANCE_RESULTS = []
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "extended: runs only when OSEQ_ACCEPTANCE_EXTENDED=1")
+
+
+def pytest_collection_modifyitems(config, items):
+    if EXTENDED:
+        return
+    skip = pytest.mark.skip(reason="set OSEQ_ACCEPTANCE_EXTENDED=1 to run")
+    for item in items:
+        if "extended" in item.keywords:
+            item.add_marker(skip)
+
+
+@pytest.fixture
+def extended():
+    """Whether the extended tier is on."""
+    return EXTENDED
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ one PASS/FAIL line through the terminal summary hook in conftest.py.
 """
 
 import itertools
-import os
 import time
 from contextlib import contextmanager
 
@@ -64,8 +63,6 @@ LEMPEL_PERIOD_TABLE = {
     6: [288, 1544, 7160, 20172],
 }
 
-EXTENDED = os.environ.get("OSEQ_ACCEPTANCE_EXTENDED") == "1"
-
 
 @contextmanager
 def criterion(recorder, number, time_limit, note=""):
@@ -97,9 +94,9 @@ def test_criterion_2_ledger_cross_check(acceptance_recorder):
                 assert report.closed_form_bound == period_upper_bound(k, n)
 
 
-def test_criterion_3_end_difference_periods(acceptance_recorder):
-    rows = range(2, 8) if EXTENDED else range(2, 6)
-    budget = 600.0 if EXTENDED else 60.0
+def test_criterion_3_end_difference_periods(acceptance_recorder, extended):
+    rows = range(2, 8) if extended else range(2, 6)
+    budget = 600.0 if extended else 60.0
     with criterion(acceptance_recorder, 3, budget,
                    f"end-difference periods n<{rows.stop}"):
         for n in rows:

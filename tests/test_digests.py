@@ -7,6 +7,11 @@ the ConstructionError's component count and its edge counts, run-length
 encoded as (size, multiplicity) pairs in the error's largest-first order.
 A change to any entry is a change to the construction output and has to
 be declared as such.
+
+LARGE pins cells past that grid the same way, except that a disconnected
+cell maps to its component count and the sha256 of the full error
+message.  The heaviest cells run only in the extended tier
+(OSEQ_ACCEPTANCE_EXTENDED=1).
 """
 
 import hashlib
@@ -145,3 +150,36 @@ def test_generate_output_is_pinned(cell):
     runs = tuple((size, len(list(group))) for size, group
                  in itertools.groupby(err.value.component_edge_counts))
     assert (err.value.component_count, runs) == want
+
+
+LARGE = {
+    ('a', 8, 7): 'c57e95a82c31ddb08b945bb411d667b3b979b821fb9eda1991d79655dd7c9643',
+    ('lempel', 7, 7): '1b07ae5cc48a3354de8fc2db26955486a4a7c47e41d313e994aecbf10dd764f9',
+    ('a', 4, 11): (26216, 'f1fac3243d6c80298730193c6b6c56c32c788e2a3b139f604ff95b43d9777d1c'),
+    ('a', 3, 13): (14784, 'fea1fd6e6f678ea8b65dfc073681e8839f9aaea1c74f84d56d9941f20f816d60'),
+}
+
+LARGE_EXTENDED = {
+    ('a', 9, 7): '36c0b7fe200bc1c3f493918e91850ff332e796e78ddd4aba38232f1791aa1d5b',
+    ('a', 8, 8): 'd55308523156ff2f0914a3e16fa8c368eeaf411409cad7a37e7519d4ad07cb7b',
+    ('a', 9, 8): '5de70cd6e0621b96cdc45c66f441074f79a7ba33db38fcdfae2ff65da9aaff59',
+    ('lempel', 8, 7): '82804f5a8fc01359bdb1461d8d63599bbded9ca879823014de9b0fa00febfbdb',
+    ('lempel', 8, 8): '12da3e96786ad322ccc7e0a0f429cde0170462129b4de5ddbd45ba2c0663132b',
+}
+
+
+@pytest.mark.parametrize("cell", list(LARGE) + [
+    pytest.param(cell, marks=pytest.mark.extended) for cell in LARGE_EXTENDED
+], ids=str)
+def test_large_output_is_pinned(cell):
+    method, k, n = cell
+    recipe = ConstructionRecipe(Method(method), k, n)
+    want = LARGE.get(cell) or LARGE_EXTENDED[cell]
+    if isinstance(want, str):
+        seq = generate(recipe)
+        assert hashlib.sha256(seq.symbols.tobytes()).hexdigest() == want
+        return
+    with pytest.raises(ConstructionError) as err:
+        generate(recipe)
+    message = hashlib.sha256(str(err.value).encode()).hexdigest()
+    assert (err.value.component_count, message) == want
