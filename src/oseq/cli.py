@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import oracle
 from .bounds import ledger_bound, period_upper_bound
 from .constructions import ConstructionRecipe, Method, generate
@@ -125,7 +123,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     parsed, n, k = _load_sequence(args.path, args.n, args.k)
-    verdict = oracle.verify(np.asarray(parsed.symbols), n, k)
+    verdict = oracle.verify(parsed.symbols, n, k)
     if verdict.accepted:
         print(f"ok: k={k} n={n} period={parsed.period}")
         return EXIT_OK
@@ -175,11 +173,11 @@ def _cmd_locate(args) -> int:
     except ValueError as exc:
         print(f"bad window: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    symbols = np.asarray(parsed.symbols)
-    verdict = oracle.verify(symbols, n, k)
+    verdict = oracle.verify(parsed.symbols, n, k)
     if not verdict.accepted:
         return _report_rejection(verdict)
-    seq = OrientableSequence(k=k, n=n, period=parsed.period, symbols=symbols)
+    seq = OrientableSequence(k=k, n=n, period=parsed.period,
+                             symbols=parsed.symbols)
     hit = oracle.locate(seq, window)
     if hit is None:
         print("not found")

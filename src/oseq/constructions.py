@@ -18,6 +18,7 @@ import numpy as np
 from . import oracle
 from .errors import (
     ConstructionError,
+    DisconnectedError,
     DomainError,
     InternalInvariantError,
     ResourceCapError,
@@ -29,7 +30,6 @@ from .graph import (
     _codes_to_digits,
     _digits_to_codes,
     circuit_to_sequence,
-    component_edge_counts,
     eulerian_circuit,
 )
 from .sequences import OrientableSequence
@@ -236,8 +236,8 @@ def generate(recipe: ConstructionRecipe) -> OrientableSequence:
     """Run a recipe end to end: build, extract, spell, verify.
 
     Each property of the edge set is checked once, by the step that owns
-    it.  The circuit extraction shows balance and connectivity, and looks
-    for which one failed only when it cannot close.  verify() shows
+    it.  The circuit extraction shows balance and connectivity, and its
+    cycle joins name the components when it cannot close.  verify() shows
     antisymmetry, since the circuit spells every edge exactly once as a
     window.  Failures that the constructions rule out raise
     InternalInvariantError; a disconnected edge set (possible for the
@@ -247,16 +247,16 @@ def generate(recipe: ConstructionRecipe) -> OrientableSequence:
     g = _build_graph(recipe)
     try:
         circuit = eulerian_circuit(g)
-    except DomainError as exc:
-        sizes = component_edge_counts(g)
-        if len(sizes) <= 1:
-            raise InternalInvariantError(
-                f"constructed edge set has no Eulerian circuit: {exc}") from exc
+    except DisconnectedError as exc:
+        sizes = exc.component_edge_counts
         raise ConstructionError(
             f"edge set splits into {len(sizes)} strongly-connected components "
             f"(edge counts {', '.join(map(str, sizes))}); "
             f"no single circuit covers it",
             component_count=len(sizes), component_edge_counts=sizes) from exc
+    except DomainError as exc:
+        raise InternalInvariantError(
+            f"constructed edge set has no Eulerian circuit: {exc}") from exc
     symbols = circuit_to_sequence(circuit)
     verdict = oracle.verify(symbols, recipe.n, recipe.k)
     if not verdict.accepted:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, InternalInvariantError, ResourceCapError
+from .errors import DisconnectedError, DomainError, ResourceCapError
 from .tuples import ZkTuple, checked_word
 
 DEFAULT_EDGE_CAP = 1 << 26
@@ -276,93 +276,6 @@ def is_balanced(g: DBSubgraph) -> tuple[bool, list[tuple[int, ...]]]:
     ]
 
 
-def _csr(g: DBSubgraph) -> tuple[int, list[int], list[int]]:
-    """Dense adjacency over materialized vertices: row offsets into the
-    code-sorted edges, which are grouped by source, and each edge's target."""
-    verts = g.vertex_codes
-    nv = int(verts.size)
-    src_ids = np.searchsorted(verts, g.sources)
-    tgt_ids = np.searchsorted(verts, g.targets)
-    row = np.searchsorted(src_ids, np.arange(nv + 1))
-    return nv, row.tolist(), tgt_ids.tolist()
-
-
-def _scc_labels(g: DBSubgraph) -> tuple[list[int], int]:
-    """Tarjan strongly-connected components, iteratively, over dense ids."""
-    nv, row, adj = _csr(g)
-    index = [-1] * nv
-    low = [0] * nv
-    on_stack = bytearray(nv)
-    stack: list[int] = []
-    labels = [-1] * nv
-    counter = 0
-    ncomp = 0
-    for root in range(nv):
-        if index[root] != -1:
-            continue
-        work = [(root, row[root])]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = 1
-        while work:
-            v, ptr = work[-1]
-            if ptr < row[v + 1]:
-                work[-1] = (v, ptr + 1)
-                w = adj[ptr]
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = 1
-                    work.append((w, row[w]))
-                elif on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work:
-                    pv = work[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = 0
-                        labels[w] = ncomp
-                        if w == v:
-                            break
-                    ncomp += 1
-    return labels, ncomp
-
-
-def is_connected(g: DBSubgraph) -> tuple[bool, int]:
-    """Whether all materialized vertices share one strongly-connected component.
-
-    Returns (verdict, component count); the empty graph counts as connected
-    with zero components.
-    """
-    if g.edge_count == 0:
-        return True, 0
-    _, ncomp = _scc_labels(g)
-    return ncomp <= 1, ncomp
-
-
-def component_edge_counts(g: DBSubgraph) -> tuple[int, ...]:
-    """Edges per strongly-connected component, largest first.
-
-    Edges whose endpoints lie in different components are counted with
-    their source.
-    """
-    if g.edge_count == 0:
-        return ()
-    labels, ncomp = _scc_labels(g)
-    verts = g.vertex_codes
-    src_ids = np.searchsorted(verts, g.sources)
-    label_arr = np.asarray(labels)
-    counts = np.bincount(label_arr[src_ids], minlength=ncomp)
-    return tuple(sorted((int(c) for c in counts), reverse=True))
-
-
 @dataclass(frozen=True, eq=False)
 class EulerianCircuit:
     """An edge ordering that walks every edge exactly once and closes up."""
@@ -437,9 +350,8 @@ def _cycle_ranks(succ: np.ndarray) -> np.ndarray:
 
 
 def _join_cycles(succ: np.ndarray, in_order: np.ndarray,
-                 sources: np.ndarray) -> bool:
-    """Merge the cycles of succ into one, in place; False when some cycles
-    share no vertex.
+                 sources: np.ndarray) -> None:
+    """Merge the cycles of succ into one, in place.
 
     in_order lists the in-edges grouped by vertex in ascending vertex
     order.  Swapping the successors of two in-edges of one vertex that lie
@@ -448,12 +360,17 @@ def _join_cycles(succ: np.ndarray, in_order: np.ndarray,
     order, and made when a union-find over the cycles shows the two still
     apart.  Only the first place where a pair of cycles meets can join
     them, so the pairs are deduplicated before the Python loop sees them.
+
+    Raises DisconnectedError when some cycles share no vertex.  Every
+    pair of cycles that meets has then been seen, so the union-find
+    classes are the weak components, which in a balanced graph are the
+    strongly-connected ones; the error counts their edges.
     """
     m = succ.size
     cycle_of = _cycle_labels(succ)
     cycles = int(np.count_nonzero(cycle_of == np.arange(m, dtype=succ.dtype)))
     if cycles == 1:
-        return True
+        return
     labels = np.take(cycle_of, in_order)
     at = np.flatnonzero((sources[1:] == sources[:-1])
                         & (labels[1:] != labels[:-1]))
@@ -482,26 +399,30 @@ def _join_cycles(succ: np.ndarray, in_order: np.ndarray,
             if len(joins) == cycles - 1:
                 break
     if len(joins) != cycles - 1:
-        return False
+        heads = _sorted_unique(cycle_of)
+        root = np.array([find(h) for h in heads.tolist()], dtype=np.int64)
+        sizes = np.bincount(root[np.searchsorted(heads, cycle_of)])
+        raise DisconnectedError(sorted(sizes[sizes > 0].tolist(), reverse=True))
     for p in joins:
         x, y = in_order[p], in_order[p + 1]
         succ[x], succ[y] = succ[y], succ[x]
-    return True
 
 
-def _not_eulerian(g: DBSubgraph) -> Exception:
-    """Name why a subgraph has no Eulerian circuit."""
-    balanced, bad = is_balanced(g)
-    if not balanced:
-        return DomainError(
-            f"subgraph is not balanced: {len(bad)} vertices differ, "
-            f"first {bad[0]}")
-    connected, ncomp = is_connected(g)
-    if not connected:
-        return DomainError(
-            f"subgraph is not connected: {ncomp} strongly-connected components")
-    return InternalInvariantError("cycle joining failed on a balanced, "
-                                  "connected subgraph")
+def is_connected(g: DBSubgraph) -> tuple[bool, int]:
+    """Whether the edges of a balanced subgraph form one strongly-connected
+    component.
+
+    Returns (verdict, component count), read off eulerian_circuit's cycle
+    joins; the empty graph counts as connected with zero components.  An
+    unbalanced subgraph raises the circuit's "not balanced" DomainError.
+    """
+    if g.edge_count == 0:
+        return True, 0
+    try:
+        eulerian_circuit(g)
+    except DisconnectedError as exc:
+        return False, len(exc.component_edge_counts)
+    return True, 1
 
 
 def eulerian_circuit(g: DBSubgraph) -> EulerianCircuit:
@@ -515,10 +436,11 @@ def eulerian_circuit(g: DBSubgraph) -> EulerianCircuit:
     the smallest edge, whose prefix is the smallest vertex.  Two calls on
     equal subgraphs return identical circuits.
 
-    The pairing exists exactly when the subgraph is balanced, and the
-    joins reach one cycle exactly when it is also connected.  Only when
-    either fails are the degrees and then the components examined to name
-    the failure as a DomainError.
+    The pairing exists exactly when the subgraph is balanced; otherwise a
+    DomainError names the unbalanced vertices.  The joins reach one cycle
+    exactly when it is also connected; otherwise their union-find already
+    names the components, with no second pass, in a DisconnectedError
+    that carries each component's edge count.
     """
     m = g.edge_count
     if m == 0:
@@ -528,11 +450,12 @@ def eulerian_circuit(g: DBSubgraph) -> EulerianCircuit:
     in_order = np.argsort(g.targets, kind="stable").astype(index, copy=False)
     # sources is sorted, so this compares the in- and out-degree sequences.
     if not np.array_equal(g.targets[in_order], sources):
-        raise _not_eulerian(g)
+        _, bad = is_balanced(g)
+        raise DomainError(f"subgraph is not balanced: {len(bad)} vertices "
+                          f"differ, first {bad[0]}")
     succ = np.empty(m, dtype=index)
     succ[in_order] = np.arange(m, dtype=index)
-    if not _join_cycles(succ, in_order, sources):
-        raise _not_eulerian(g)
+    _join_cycles(succ, in_order, sources)
     order = np.empty(m, dtype=index)
     order[_cycle_ranks(succ)] = np.arange(m, dtype=index)
     start = code_to_tuple(int(sources[0]), g.k, g.order)

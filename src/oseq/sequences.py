@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .graph import _INT64_MAX
 
 if TYPE_CHECKING:
     from .constructions import ConstructionRecipe
@@ -65,14 +66,17 @@ class OrientableSequence:
         return [int(s) for s in self.symbols]
 
 
-def parse_symbols(raw: str, k: int) -> tuple[int, ...]:
+def parse_symbols(raw: str, k: int) -> np.ndarray:
     """Parse symbols written as format_symbols writes them for alphabet
-    size k, checking that each lies in Z_k."""
+    size k, checking that each lies in Z_k.
+
+    Returns a read-only array: uint8 for k <= 10, int64 otherwise.
+    """
     if k <= 10:
         if not (raw.isascii() and raw.isdigit()):
             raise DomainError("symbols must be contiguous digits for k <= 10")
-        digits = np.frombuffer(raw.encode("ascii"), np.uint8) - ord("0")
-        top, symbols = int(digits.max()), digits.tolist()
+        symbols = np.frombuffer(raw.encode("ascii"), np.uint8) - ord("0")
+        top = int(symbols.max())
     else:
         parts = raw.split(",")
         if not all(p.isascii() and p.isdigit() for p in parts):
@@ -81,7 +85,11 @@ def parse_symbols(raw: str, k: int) -> tuple[int, ...]:
         top = max(symbols)
     if top >= k:
         raise DomainError(f"symbol out of range for alphabet size {k}")
-    return tuple(symbols)
+    if top > _INT64_MAX:
+        raise DomainError(f"symbol {top} does not fit in 64 bits")
+    symbols = np.asarray(symbols, dtype=np.uint8 if k <= 10 else np.int64)
+    symbols.flags.writeable = False
+    return symbols
 
 
 def format_symbols(symbols: Sequence[int] | np.ndarray, k: int) -> str:
@@ -99,13 +107,13 @@ def serialize_sequence(seq: OrientableSequence, method: str | None = None) -> st
     return f"{header}\n{format_symbols(seq.symbols, seq.k)}\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParsedSequenceFile:
     k: int
     n: int
     period: int
     method: str
-    symbols: tuple[int, ...]
+    symbols: np.ndarray
 
 
 def parse_sequence_file(text: str) -> ParsedSequenceFile:

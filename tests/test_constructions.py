@@ -272,6 +272,25 @@ def test_unbalanced_connected_edge_set_is_internal_error(monkeypatch):
         generate(ConstructionRecipe(Method.END_DIFFERENCE, 3, 2))
 
 
+def test_unbalanced_split_edge_set_is_internal_error(monkeypatch):
+    # Imbalance is named first, even when the edge set also splits.
+    g = build_subgraph(4, 1, [(0, 1), (1, 0), (2, 3)])
+    monkeypatch.setattr(constructions, "_build_graph", lambda recipe: g)
+    with pytest.raises(InternalInvariantError, match="balanced"):
+        generate(ConstructionRecipe(Method.END_DIFFERENCE, 3, 2))
+
+
+def test_split_report_takes_no_second_pass(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("component report recomputed")
+
+    for name in ("is_balanced", "is_connected"):
+        monkeypatch.setattr(graph, name, refuse)
+    with pytest.raises(ConstructionError) as err:
+        generate(ConstructionRecipe(Method.END_DIFFERENCE, 4, 4))
+    assert err.value.component_edge_counts == (12,) * 5 + (4,)
+
+
 @pytest.mark.parametrize("method,k,n,t", [
     ("a", 5, 3, None), ("c", 5, 3, None), ("a_t", 5, 4, 2), ("lempel", 4, 3, None),
 ])
@@ -280,7 +299,7 @@ def test_generate_runs_no_separate_certificates(monkeypatch, method, k, n, t):
         raise AssertionError("certificate called on a good recipe")
 
     for name in ("is_antisymmetric", "is_antinegasymmetric", "is_balanced",
-                 "is_connected", "component_edge_counts"):
+                 "is_connected"):
         monkeypatch.setattr(graph, name, refuse)
         monkeypatch.setattr(constructions, name, refuse, raising=False)
     verified = []

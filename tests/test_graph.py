@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -6,13 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oseq import graph
-from oseq.errors import DomainError, ResourceCapError
+from oseq.constructions import end_difference_graph
+from oseq.errors import DisconnectedError, DomainError, ResourceCapError
 from oseq.graph import (
     DBSubgraph,
     build_subgraph,
     circuit_to_sequence,
     code_to_tuple,
-    component_edge_counts,
     edge_graph_of_sequence,
     eulerian_circuit,
     full_de_bruijn,
@@ -33,6 +34,8 @@ from oseq.graph import (
     _index_dtype,
 )
 from oseq.tuples import ZkTuple, is_symmetric
+
+from test_digests import EXPECTED as DIGESTS
 
 
 def test_code_round_trip():
@@ -154,7 +157,9 @@ def test_connectivity_components():
     ok, ncomp = is_connected(g)
     assert not ok
     assert ncomp == 2
-    assert component_edge_counts(g) == (2, 2)
+    with pytest.raises(DisconnectedError) as err:
+        eulerian_circuit(g)
+    assert err.value.component_edge_counts == (2, 2)
     ok, ncomp = is_connected(full_de_bruijn(3, 2))
     assert ok and ncomp == 1
 
@@ -162,6 +167,94 @@ def test_connectivity_components():
 def test_connectivity_ignores_empty_graph():
     g = build_subgraph(3, 2, [])
     assert is_connected(g) == (True, 0)
+
+
+def test_connectivity_refuses_unbalanced_graphs():
+    with pytest.raises(DomainError, match="balanced"):
+        is_connected(build_subgraph(2, 1, [(0, 1)]))
+    # Two loops and a stray edge: unbalanced and split at once.
+    with pytest.raises(DomainError, match="balanced"):
+        is_connected(build_subgraph(4, 1, [(0, 0), (1, 1), (2, 3)]))
+
+
+def _tarjan_components(g):
+    """Strongly-connected components by Tarjan's algorithm (SIAM J.
+    Comput. 1972), iteratively over plain Python dicts.
+
+    Returns the component count over the materialized vertices and the
+    edges per component, counted with their source, largest first.
+    """
+    k, base = g.k, g.k**g.order
+    edges = g.edges.tolist()
+    adj = {}
+    for e in edges:
+        adj.setdefault(e // k, []).append(e % base)
+        adj.setdefault(e % base, [])
+    index, low, comp = {}, {}, {}
+    stack, on_stack = [], set()
+    for root in adj:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, out = work[-1]
+            w = next(out, None)
+            if w is not None:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(adj[w])))
+                elif w in on_stack:
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp[w] = v
+                    if w == v:
+                        break
+    sizes = collections.Counter(comp[e // k] for e in edges)
+    return len(set(comp.values())), tuple(sorted(sizes.values(), reverse=True))
+
+
+def _assert_components_match_tarjan(g):
+    ncomp, sizes = _tarjan_components(g)
+    assert len(sizes) == ncomp
+    assert is_connected(g) == (ncomp == 1, ncomp)
+    if ncomp == 1:
+        return
+    with pytest.raises(DisconnectedError, match=f": {ncomp} strongly") as err:
+        eulerian_circuit(g)
+    assert err.value.component_edge_counts == sizes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.sets(st.integers(0, 2), min_size=1))
+def test_connectivity_matches_tarjan_on_random_unions(k, order, seed, parts):
+    # Each part is a connected union written in its own k symbols of an
+    # alphabet of 3k, so the parts share no vertex.
+    words = []
+    for p in sorted(parts):
+        part = _eulerian_union(k, order, seed + p, 4).edge_tuples()
+        words += [tuple(s + p * k for s in w) for w in part]
+    assume(words)
+    _assert_components_match_tarjan(build_subgraph(3 * k, order, words))
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for (method, k, n, _), want
+                                 in DIGESTS.items() if not isinstance(want, str)])
+def test_connectivity_matches_tarjan_on_split_cells(k, n):
+    _assert_components_match_tarjan(end_difference_graph(k, n))
 
 
 def test_eulerian_circuit_full_graph():

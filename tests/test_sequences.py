@@ -110,8 +110,11 @@ def test_serialize_parse_identity(kv):
 
 
 def test_parse_symbols_follows_alphabet_format():
-    assert parse_symbols("0120", 3) == (0, 1, 2, 0)
-    assert parse_symbols("10,0,11", 12) == (10, 0, 11)
+    narrow = parse_symbols("0120", 3)
+    assert narrow.dtype == np.uint8 and narrow.tolist() == [0, 1, 2, 0]
+    wide = parse_symbols("10,0,11", 12)
+    assert wide.dtype == np.int64 and wide.tolist() == [10, 0, 11]
+    assert not narrow.flags.writeable and not wide.flags.writeable
     # Only ASCII decimal digits count: int() would also take the
     # Arabic-Indic "٣١٢", strip " " and "+", and read "1_0" as 10.
     for raw, k in [("013", 3), ("0,1", 3), ("1,x", 12), ("12,3", 12), ("", 4),
@@ -120,3 +123,15 @@ def test_parse_symbols_follows_alphabet_format():
         with pytest.raises(DomainError):
             parse_symbols(raw, k)
 
+
+
+def test_parsed_symbols_are_a_read_only_array():
+    parsed = parse_sequence_file("k=3 n=2 period=4 method=a\n0120\n")
+    assert parsed.symbols.dtype == np.uint8
+    assert not parsed.symbols.flags.writeable
+    with pytest.raises(ValueError):
+        parsed.symbols[0] = 1
+    # A symbol below a huge k can still be too wide for int64.
+    with pytest.raises(DomainError, match="64 bits"):
+        parse_symbols(f"1,{2**63}", 2**64)
+    assert parse_symbols(f"1,{2**63 - 1}", 2**64).tolist() == [1, 2**63 - 1]
