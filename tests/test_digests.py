@@ -8,6 +8,8 @@ encoded as (size, multiplicity) pairs in the error's largest-first order.
 A change to any entry is a change to the construction output and has to
 be declared as such.
 
+MID pins every cell of the golden period tables (methods a and lempel)
+with expected period in (20,000, 1,000,000] that no other dict pins.
 LARGE pins cells past that grid the same way, except that a disconnected
 cell maps to its component count and the sha256 of the full error
 message.  The heaviest cells run only in the extended tier
@@ -152,6 +154,26 @@ def test_generate_output_is_pinned(cell):
     assert (err.value.component_count, runs) == want
 
 
+MID = {
+    ('lempel', 6, 6): '934c119c989c7650463598dfcbb2e7ab46b6417b722dff0a5e4d618eefc00479',
+    ('lempel', 4, 8): '6555820449c4bd37834ce523e543635ede44f9e00954073b0cce4eb6a8b22e85',
+    ('a', 9, 5): 'bf84e92ad8a2277f7677ca90fa0a4aa3f3de6f0d2d45c093af65c4e9b144e1ee',
+    ('a', 5, 7): 'f3f36adf03954c4ee1eab961d1f80fa953ea0eff4287230a316d720879cd4db4',
+    ('lempel', 5, 7): '2cd128db7633b55bcdf7ef8e527d821082766a7eb23e29789b03c6bd3b20a732',
+    ('a', 7, 6): 'b86b7bda0199662f4933d95beaa698d29c98941969e1750fe4a9067d91a986a2',
+    ('lempel', 7, 6): '1464aca9bb09ef7d98f3757227c52362a5c8aca71d85e8c7b2a902162fdcd0bb',
+    ('a', 6, 7): 'effc51e7bb228fca0421ee05cb62c8709f779708bc167b01aab97dc4dcc756d9',
+    ('a', 8, 6): '3eabf49645d1efd02cf8cb42db5c0043c5961b26d06eb3c7d562533688e48a40',
+    ('lempel', 8, 6): 'be816285360d9499dabcfab4786c3c12647d4f021e9923315d7192bc242acafe',
+    ('lempel', 6, 7): '3b600cb0200c1456900be7b518c0ede2fdabe85282fd1c10446d70de398d5755',
+    ('a', 5, 8): 'c6cddf263e233ac3371ca8a7112c47e19f96d7e7ffe49dcd6a75dcfcaefc5a28',
+    ('lempel', 5, 8): '29077368b303ede1efa95ecd08470d70062cd310698ebe527ec7aa0c2f7678cc',
+    ('a', 9, 6): '4b0d6494c7163f01ef2e6c7ce7f416b2546e7b1c9bcf2bee215810ff615aaad8',
+    ('a', 7, 7): 'f0037d8cfc46f794e9eb2b9083b79f4d03b88c910596f6cfd8219217ea83cd4d',
+    ('a', 6, 8): 'be6cdc33a37686dcf31a18b2eafdd4a6cdbcb07b4643e609dcee8b2d118494f1',
+    ('lempel', 6, 8): 'ef6f01cfb7b3f2ad3ba3a4a864a037fd53332489d455982ec84db74b4fc68e7f',
+}
+
 LARGE = {
     ('a', 8, 7): 'c57e95a82c31ddb08b945bb411d667b3b979b821fb9eda1991d79655dd7c9643',
     ('lempel', 7, 7): '1b07ae5cc48a3354de8fc2db26955486a4a7c47e41d313e994aecbf10dd764f9',
@@ -168,13 +190,13 @@ LARGE_EXTENDED = {
 }
 
 
-@pytest.mark.parametrize("cell", list(LARGE) + [
+@pytest.mark.parametrize("cell", list(MID) + list(LARGE) + [
     pytest.param(cell, marks=pytest.mark.extended) for cell in LARGE_EXTENDED
 ], ids=str)
 def test_large_output_is_pinned(cell):
     method, k, n = cell
     recipe = ConstructionRecipe(Method(method), k, n)
-    want = LARGE.get(cell) or LARGE_EXTENDED[cell]
+    want = {**MID, **LARGE, **LARGE_EXTENDED}[cell]
     if isinstance(want, str):
         seq = generate(recipe)
         assert hashlib.sha256(seq.symbols.tobytes()).hexdigest() == want
