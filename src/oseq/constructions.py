@@ -88,11 +88,35 @@ def _check_domain(method: Method, k: int, n: int, t: int | None = None) -> None:
         raise DomainError(f"block width must satisfy 1 <= t <= n/2, got {t}")
 
 
-def _candidate_codes(k: int, n: int, cap: int | None) -> np.ndarray:
+def _check_candidates(k: int, n: int, cap: int | None) -> None:
     _check_code_width(k, n)
-    total = k**n
-    _check_cap(total, cap)
-    return np.arange(total, dtype=np.int64)
+    _check_cap(k**n, cap)
+
+
+def _candidate_codes(k: int, n: int, cap: int | None) -> np.ndarray:
+    _check_candidates(k, n, cap)
+    return np.arange(k**n, dtype=np.int64)
+
+
+def _end_rule_graph(k: int, n: int, cap: int | None,
+                    differences: np.ndarray) -> DBSubgraph:
+    """Edges: n-tuples whose last symbol minus the first, modulo k, is one
+    of differences.
+
+    The edges are enumerated directly, in code order: for each first
+    symbol f, every middle word followed by each allowed last symbol, the
+    last symbols sorted.  Nothing of size k**n is built, but the size cap
+    still applies to k**n.
+    """
+    _check_candidates(k, n, cap)
+    middles = np.arange(0, k ** (n - 1), k, dtype=np.int64)
+    block = middles.size * differences.size
+    edges = np.empty(k * block, dtype=np.int64)
+    for f in range(k):
+        last = np.sort((f + differences) % k) + f * k ** (n - 1)
+        np.add(middles[:, None], last,
+               out=edges[f * block:(f + 1) * block].reshape(middles.size, -1))
+    return DBSubgraph(k, n - 1, edges)
 
 
 def end_difference_graph(k: int, n: int, cap: int | None = None) -> DBSubgraph:
@@ -103,18 +127,13 @@ def end_difference_graph(k: int, n: int, cap: int | None = None) -> DBSubgraph:
     n >= 3, which generate() reports rather than hides.
     """
     _check_domain(Method.END_DIFFERENCE, k, n)
-    codes = _candidate_codes(k, n, cap)
-    diff = (codes % k - codes // k ** (n - 1)) % k
-    mask = (diff >= 1) & (diff <= (k - 1) // 2)
-    return DBSubgraph(k, n - 1, codes[mask])
+    return _end_rule_graph(k, n, cap, np.arange(1, (k - 1) // 2 + 1))
 
 
 def odd_end_difference_graph(k: int, n: int, cap: int | None = None) -> DBSubgraph:
     """Edges: n-tuples whose last-minus-first difference is odd modulo k."""
     _check_domain(Method.ODD_END_DIFFERENCE, k, n)
-    codes = _candidate_codes(k, n, cap)
-    diff = (codes % k - codes // k ** (n - 1)) % k
-    return DBSubgraph(k, n - 1, codes[diff % 2 == 1])
+    return _end_rule_graph(k, n, cap, np.arange(1, k, 2))
 
 
 def block_end_difference_graph(k: int, n: int, t: int,

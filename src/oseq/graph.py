@@ -109,7 +109,10 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     """The distinct values of an integer array, ascending.
 
     A sort and an adjacent compare: numpy 2's unique takes a slower
-    hash-based path on large integer arrays.
+    hash-based path on large integer arrays, and that path's allocations
+    stay behind in the heap.  Calling np.unique once per spanning-forest
+    round in eulerian_circuit raised the decode-stream benchmark's peak
+    RSS from about 120 MB to 134 MB.
     """
     ordered = np.sort(codes)
     first = np.empty(ordered.size, dtype=bool)
@@ -313,7 +316,109 @@ def _index_dtype(m: int) -> type:
     return np.int32 if m < 2**31 else np.int64
 
 
+# From this many elements on, cycles are labelled and ranked by walks from
+# sparse rulers in O(m) work; below it, pointer doubling's log2(m) full
+# passes cost less than the walks' per-step overhead.  The two break even
+# on circuits of about 150,000 edges.
+_WALK_MIN = 1 << 17
+# Every multiple of the stride (a power of two) is a ruler.  Gaps between
+# rulers along a cycle average the stride, and the longest on the golden
+# cells span about 10 strides, so a walk still going after the bound meets
+# an adversarial order, and doubling takes over.
+_RULER_STRIDE = 64
+_WALK_BOUND = 32 * _RULER_STRIDE
+
+
+def _walk(succ: np.ndarray, start: np.ndarray | None = None, steps: int = 0):
+    """Follow the permutation succ from every ruler at once until each
+    walker meets the next ruler: one gather per step for all walkers
+    (a sparse ruling set, after Helman & JáJá, JPDC 2001).
+
+    Ruler r is element r * _RULER_STRIDE.  Without start, returns
+    (next_ruler, gap): for each ruler, the ruler its walk met and the
+    steps to it, so next_ruler is the permutation that succ induces on
+    the rulers; or None once a walk passes _WALK_BOUND steps.  With
+    start, one value per ruler, the walks run again and return an array
+    that holds start[r] + steps * s at the element s steps after ruler r,
+    and -1 on the cycles that hold no ruler.  Walking twice keeps one
+    array of size m alive instead of an owner and an offset for each
+    element, which also leaves less behind in the heap: decode-stream's
+    peak RSS read about 119.1 MB this way and 120.3 MB with one walk.
+    """
+    index = succ.dtype
+    here = np.arange(0, succ.size, _RULER_STRIDE, dtype=index)
+    if start is None:
+        walker = np.arange(here.size, dtype=index)
+        next_ruler = np.empty_like(walker)
+        gap = np.empty_like(walker)
+    else:
+        value = start
+        out = np.full(succ.size, -1, dtype=index)
+        out[here] = value
+    for step in range(1, _WALK_BOUND + 1):
+        here = np.take(succ, here)
+        going = (here & (_RULER_STRIDE - 1)) != 0
+        if start is None:
+            arrived = ~going
+            done = walker[arrived]
+            next_ruler[done] = here[arrived] // _RULER_STRIDE
+            gap[done] = step
+            walker = walker[going]
+        else:
+            value = value[going] + steps
+        here = here[going]
+        if here.size == 0:
+            return (next_ruler, gap) if start is None else out
+        if start is not None:
+            out[here] = value
+    return None
+
+
 def _cycle_labels(succ: np.ndarray) -> np.ndarray:
+    """A label for each element of the permutation succ: equal exactly on
+    the elements of one cycle, and itself an element of that cycle.
+
+    Large arrays go through _walk: a cycle that holds a ruler takes the
+    label of one of its rulers, found by labelling the short ruler
+    permutation.  The cycles that hold no ruler, and arrays too small or
+    too adversarial to walk, are labelled by pointer doubling.
+    """
+    walk = _walk(succ) if succ.size >= _WALK_MIN else None
+    if walk is None:
+        return _doubling_labels(succ)
+    labels = _walk(succ, _cycle_labels(walk[0]) * _RULER_STRIDE)
+    rest = np.flatnonzero(labels < 0).astype(succ.dtype, copy=False)
+    if rest.size:
+        # The unlabelled cycles are closed under succ; until they are
+        # labelled, labels maps each of their elements to its place in rest.
+        labels[rest] = np.arange(rest.size, dtype=succ.dtype)
+        local = np.take(labels, np.take(succ, rest))
+        labels[rest] = np.take(rest, _doubling_labels(local))
+    return labels
+
+
+def _cycle_ranks(succ: np.ndarray) -> np.ndarray:
+    """Position of each element on the single cycle of succ, counted
+    from element 0.
+
+    Large arrays go through _walk: rank the short ruler cycle (ruler 0 is
+    element 0), sum the gaps in that order to place each ruler, then walk
+    again adding each element's steps from its ruler.  Arrays too small
+    or too adversarial to walk are ranked by pointer doubling.
+    """
+    walk = _walk(succ) if succ.size >= _WALK_MIN else None
+    if walk is None:
+        return _doubling_ranks(succ)
+    next_ruler, gap = walk
+    order = np.empty_like(next_ruler)
+    order[_cycle_ranks(next_ruler)] = np.arange(order.size, dtype=order.dtype)
+    steps = gap[order]
+    start = np.empty_like(gap)
+    start[order] = np.cumsum(steps, dtype=gap.dtype) - steps
+    return _walk(succ, start, steps=1)
+
+
+def _doubling_labels(succ: np.ndarray) -> np.ndarray:
     """The smallest element on each element's cycle of the permutation succ.
 
     Pointer doubling: after t rounds each label is the minimum over the
@@ -330,13 +435,10 @@ def _cycle_labels(succ: np.ndarray) -> np.ndarray:
         jump = np.take(jump, jump)
 
 
-def _cycle_ranks(succ: np.ndarray) -> np.ndarray:
-    """Position of each element on the single cycle of succ, counted
-    from element 0.
-
-    Wyllie list ranking: cut the cycle in front of element 0, then double
-    the pointers, summing hop counts, until every element sees the end.
-    """
+def _doubling_ranks(succ: np.ndarray) -> np.ndarray:
+    """_cycle_ranks by Wyllie list ranking: cut the cycle in front of
+    element 0, then double the pointers, summing hop counts, until every
+    element sees the end."""
     m = succ.size
     end = int(np.flatnonzero(succ == 0)[0])
     jump = succ.copy()
@@ -349,63 +451,107 @@ def _cycle_ranks(succ: np.ndarray) -> np.ndarray:
     return (m - 1) - hops
 
 
+def _spanning_forest(a: np.ndarray, b: np.ndarray,
+                     nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum spanning forest of the multigraph on nodes 0..nodes-1 whose
+    edge i joins a[i] and b[i] and weighs i, by Borůvka's rounds.
+
+    Each round, every component hooks onto its lightest edge leaving it;
+    the weights are distinct, so those edges belong to the one minimum
+    forest, which is also the one that Kruskal's in-order scan builds.
+    Once a table over all pairs of components is no larger than the edge
+    list, only the lightest edge between each pair is kept.  Returns the
+    forest's edges ascending and each node's component, numbered from 0.
+    """
+    index = a.dtype
+    comp = np.arange(nodes, dtype=index)
+    count = nodes
+    edge = np.arange(a.size, dtype=index)
+    picked = []
+    while True:
+        ca, cb = np.take(comp, a), np.take(comp, b)
+        keep = np.flatnonzero(ca != cb)
+        if count * count <= keep.size:
+            pair = (np.minimum(ca[keep], cb[keep]) * count
+                    + np.maximum(ca[keep], cb[keep]))
+            lightest = np.full(count * count, keep.size, dtype=index)
+            np.minimum.at(lightest, pair, np.arange(keep.size, dtype=index))
+            keep = keep[np.sort(lightest[lightest < keep.size])]
+        if keep.size == 0:
+            break
+        a, b, edge, ca, cb = (x[keep] for x in (a, b, edge, ca, cb))
+        # Edges stay in weight order, so the position is the weight.
+        lightest = np.full(count, edge.size, dtype=index)
+        rank = np.arange(edge.size, dtype=index)
+        np.minimum.at(lightest, ca, rank)
+        np.minimum.at(lightest, cb, rank)
+        roots = np.flatnonzero(lightest < edge.size).astype(index, copy=False)
+        best = lightest[roots]
+        other = np.where(ca[best] == roots, cb[best], ca[best])
+        # Two components that share their lightest edge would hook onto
+        # each other; the smaller one stays a root instead.
+        hooks = (np.take(lightest, other) != best) | (other < roots)
+        parent = np.arange(count, dtype=index)
+        parent[roots[hooks]] = other[hooks]
+        while True:
+            grand = np.take(parent, parent)
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        renumber = np.cumsum(parent == np.arange(count), dtype=index) - 1
+        comp = np.take(np.take(renumber, parent), comp)
+        count = int(renumber[-1]) + 1
+        picked.append(edge[_sorted_unique(best)])
+    joins = np.sort(np.concatenate(picked)) if picked else edge[:0]
+    return joins, comp
+
+
 def _join_cycles(succ: np.ndarray, in_order: np.ndarray,
-                 sources: np.ndarray) -> None:
-    """Merge the cycles of succ into one, in place.
+                 sources: np.ndarray) -> np.ndarray:
+    """Merge the cycles of succ into one, in place, and return the
+    positions in in_order of the joins, ascending.
 
     in_order lists the in-edges grouped by vertex in ascending vertex
     order.  Swapping the successors of two in-edges of one vertex that lie
     on different cycles splices those cycles together (Etzion & Lempel's
-    cycle joining).  Joins are tried at consecutive in-edges, in in_order
-    order, and made when a union-find over the cycles shows the two still
-    apart.  Only the first place where a pair of cycles meets can join
-    them, so the pairs are deduplicated before the Python loop sees them.
+    cycle joining).  The joins are the ones an in-order scan with a
+    union-find over the cycles makes: at consecutive in-edges, in in_order
+    order, wherever the two cycles are still apart.  Those are exactly the
+    minimum spanning forest of the cycle pairs weighted by position, which
+    Borůvka's rounds find in a few vectorised passes.  The joins are
+    applied in ascending order, each run of consecutive positions as one
+    rotation of successors, which is what the scan's successive swaps
+    amount to.
 
     Raises DisconnectedError when some cycles share no vertex.  Every
-    pair of cycles that meets has then been seen, so the union-find
-    classes are the weak components, which in a balanced graph are the
-    strongly-connected ones; the error counts their edges.
+    pair of cycles that meets has then been seen, so the forest's
+    components are the weak components, which in a balanced graph are
+    the strongly-connected ones; the error counts their edges.
     """
-    m = succ.size
+    index = succ.dtype
     cycle_of = _cycle_labels(succ)
-    cycles = int(np.count_nonzero(cycle_of == np.arange(m, dtype=succ.dtype)))
+    # Number the cycles 0, 1, ... in the order of their labels.
+    number = np.cumsum(cycle_of == np.arange(succ.size, dtype=index),
+                       dtype=index) - 1
+    cycles = int(number[-1]) + 1
     if cycles == 1:
-        return
-    labels = np.take(cycle_of, in_order)
+        return number[:0]
+    labels = np.take(number, np.take(cycle_of, in_order))
     at = np.flatnonzero((sources[1:] == sources[:-1])
-                        & (labels[1:] != labels[:-1]))
-    lo = np.minimum(labels[at], labels[at + 1]).astype(np.int64)
-    hi = np.maximum(labels[at], labels[at + 1])
-    # Labels are below m, so the key fits int64 while m < 3.03e9.
-    key = lo * m + hi
-    by_key = np.argsort(key)
-    starts = np.flatnonzero(np.diff(key[by_key], prepend=-1))
-    first = np.sort(np.minimum.reduceat(by_key, starts))
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while x in parent:
-            up = parent[x]
-            parent[x] = x = parent.get(up, up)
-        return x
-
-    joins = []
-    for p, a, b in zip(at[first].tolist(), lo[first].tolist(),
-                       hi[first].tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            joins.append(p)
-            if len(joins) == cycles - 1:
-                break
-    if len(joins) != cycles - 1:
-        heads = _sorted_unique(cycle_of)
-        root = np.array([find(h) for h in heads.tolist()], dtype=np.int64)
-        sizes = np.bincount(root[np.searchsorted(heads, cycle_of)])
-        raise DisconnectedError(sorted(sizes[sizes > 0].tolist(), reverse=True))
-    for p in joins:
-        x, y = in_order[p], in_order[p + 1]
-        succ[x], succ[y] = succ[y], succ[x]
+                        & (labels[1:] != labels[:-1])).astype(index)
+    joins, comp = _spanning_forest(labels[at], labels[at + 1], cycles)
+    if joins.size != cycles - 1:
+        sizes = np.bincount(np.take(comp, np.take(number, cycle_of)))
+        raise DisconnectedError(sorted(sizes.tolist(), reverse=True))
+    at = at[joins]
+    x, y = in_order[at], in_order[at + 1]
+    run_start = np.ones(at.size, dtype=bool)
+    np.not_equal(at[1:], at[:-1] + 1, out=run_start[1:])
+    run_end = np.roll(run_start, -1)
+    wrapped = succ[x[run_start]]
+    succ[x] = succ[y]
+    succ[y[run_end]] = wrapped
+    return at
 
 
 def is_connected(g: DBSubgraph) -> tuple[bool, int]:
@@ -438,9 +584,14 @@ def eulerian_circuit(g: DBSubgraph) -> EulerianCircuit:
 
     The pairing exists exactly when the subgraph is balanced; otherwise a
     DomainError names the unbalanced vertices.  The joins reach one cycle
-    exactly when it is also connected; otherwise their union-find already
-    names the components, with no second pass, in a DisconnectedError
-    that carries each component's edge count.
+    exactly when it is also connected; otherwise their spanning forest
+    already names the components, with no second pass, in a
+    DisconnectedError that carries each component's edge count.
+
+    Every step is a few O(m) numpy passes: the cycles are labelled and the
+    final cycle ranked by walks from sparse rulers, with pointer doubling
+    for small or adversarial inputs, and the joins are a Borůvka spanning
+    forest over the pairs of cycles that meet.
     """
     m = g.edge_count
     if m == 0:

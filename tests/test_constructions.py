@@ -18,7 +18,12 @@ from oseq.constructions import (
     low_pseudoweight_graph,
     odd_end_difference_graph,
 )
-from oseq.errors import ConstructionError, DomainError, InternalInvariantError
+from oseq.errors import (
+    ConstructionError,
+    DomainError,
+    InternalInvariantError,
+    ResourceCapError,
+)
 from oseq.graph import (
     build_subgraph,
     full_de_bruijn,
@@ -147,6 +152,29 @@ def test_odd_end_difference_graph_edges():
     g = odd_end_difference_graph(5, 2)
     for t in g.edge_tuples():
         assert (t[-1] - t[0]) % 5 in (1, 3)
+
+
+def test_end_rules_match_mask_over_all_candidates():
+    # The direct enumeration against the rule applied to every n-tuple.
+    for k in range(3, 12):
+        for n in range(2, 8):
+            if k**n > 300_000:
+                continue
+            codes = np.arange(k**n, dtype=np.int64)
+            diff = (codes % k - codes // k ** (n - 1)) % k
+            plain = codes[(diff >= 1) & (diff <= (k - 1) // 2)]
+            assert np.array_equal(end_difference_graph(k, n).edges, plain)
+            if k % 2 and k >= 5:
+                odd = codes[diff % 2 == 1]
+                assert np.array_equal(odd_end_difference_graph(k, n).edges, odd)
+
+
+def test_end_rules_cap_counts_all_candidates():
+    # The cap still applies to k**n, not to the edges kept.
+    for build in (end_difference_graph, odd_end_difference_graph):
+        assert build(5, 4, cap=5**4).edge_count < 5**4
+        with pytest.raises(ResourceCapError):
+            build(5, 4, cap=5**4 - 1)
 
 
 @pytest.mark.parametrize("k,n", [(5, 2), (5, 3), (6, 3), (7, 2), (9, 3)])

@@ -31,7 +31,10 @@ from oseq.graph import (
     _cycle_ranks,
     _cyclic_windows,
     _dense_window_ids,
+    _doubling_labels,
     _index_dtype,
+    _join_cycles,
+    _spanning_forest,
 )
 from oseq.tuples import ZkTuple, is_symmetric
 
@@ -385,25 +388,180 @@ def test_circuit_with_wide_indexes(monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 40), st.randoms(use_true_random=False))
+@given(st.integers(1, 400), st.randoms(use_true_random=False))
 def test_doubling_helpers_in_int64(m, rnd):
-    # Random cycles, labelled and ranked against plain walks.
+    # Random cycles, labelled and ranked against plain walks: by pointer
+    # doubling at these sizes, and by ruler walks with the size constant
+    # patched down, so that cycles with and without a ruler both occur.
+    # (At 2 the walks recurse down to a single ruler and stop there.)
     order = rnd.sample(range(m), m)
     cuts = sorted(rnd.sample(range(1, m), rnd.randint(0, m - 1)))
     cycles = [order[lo:hi] for lo, hi in zip([0] + cuts, cuts + [m])]
     succ = np.empty(m, dtype=np.int64)
     for cycle in cycles:
         succ[cycle] = np.roll(cycle, -1)
-    labels = _cycle_labels(succ)
-    assert labels.dtype == np.int64
-    for cycle in cycles:
-        assert set(labels[cycle].tolist()) == {min(cycle)}
     walk = order[order.index(0):] + order[:order.index(0)]
     whole = np.empty(m, dtype=np.int64)
     whole[walk] = np.roll(walk, -1)
-    ranks = _cycle_ranks(whole)
-    assert ranks.dtype == np.int64
+    smallest = _doubling_labels(succ)
+    for cycle in cycles:
+        assert set(smallest[cycle].tolist()) == {min(cycle)}
+    for walk_min in (graph._WALK_MIN, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_WALK_MIN", walk_min)
+            labels = _cycle_labels(succ)
+            ranks = _cycle_ranks(whole)
+        assert labels.dtype == np.int64
+        _assert_labels_partition(labels, cycles)
+        assert ranks.dtype == np.int64
+        assert ranks[walk].tolist() == list(range(m))
+
+
+def _assert_labels_partition(labels, cycles):
+    """One label per cycle, distinct across cycles, each on its cycle."""
+    names = []
+    for cycle in cycles:
+        (name,) = set(labels[cycle].tolist())
+        assert name in cycle
+        names.append(name)
+    assert len(set(names)) == len(cycles)
+
+
+class _CountingNumpy:
+    """numpy for the graph module, counting the gathers from one array."""
+
+    def __init__(self, source):
+        self.source = source
+        self.gathers = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def take(self, a, *args, **kwargs):
+        self.gathers += a is self.source
+        return np.take(a, *args, **kwargs)
+
+
+def test_ruler_walk_stops_at_its_bound(monkeypatch):
+    # One cycle that visits every non-ruler before any ruler: the last
+    # ruler's walk would need m - m/stride steps.  It must give up after
+    # the bound, one gather of succ per step, and doubling must finish.
+    stride = graph._RULER_STRIDE
+    m = stride * (graph._WALK_BOUND // stride + 8)
+    cycle = [i for i in range(m) if i % stride] + list(range(0, m, stride))
+    assert m - m // stride > graph._WALK_BOUND
+    succ = np.empty(m, dtype=np.int64)
+    succ[cycle] = np.roll(cycle, -1)
+    monkeypatch.setattr(graph, "_WALK_MIN", 2)
+    counting = _CountingNumpy(succ)
+    monkeypatch.setattr(graph, "np", counting)
+    ranks = _cycle_ranks(succ)
+    assert counting.gathers == graph._WALK_BOUND
+    counting.gathers = 0
+    labels = _cycle_labels(succ)
+    # The walk's gathers, then doubling's first pointer jump.
+    assert counting.gathers == graph._WALK_BOUND + 1
+    walk = cycle[cycle.index(0):] + cycle[:cycle.index(0)]
     assert ranks[walk].tolist() == list(range(m))
+    assert set(labels.tolist()) == {0}
+
+
+def _kruskal(a, b, nodes):
+    """Kruskal's in-order scan with a Python union-find over the edges
+    (a[i], b[i]) weighted by i: the forest's edges and each node's root."""
+    root = list(range(nodes))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    picked = []
+    for i, (u, v) in enumerate(zip(a, b)):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[ru] = rv
+            picked.append(i)
+    return picked, [find(x) for x in range(nodes)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda nodes: st.tuples(
+    st.just(nodes),
+    st.lists(st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1)),
+             max_size=120))))
+def test_spanning_forest_matches_kruskal(case):
+    nodes, pairs = case
+    a = np.array([u for u, _ in pairs], dtype=np.int32)
+    b = np.array([v for _, v in pairs], dtype=np.int32)
+    joins, comp = _spanning_forest(a, b, nodes)
+    picked, roots = _kruskal(a.tolist(), b.tolist(), nodes)
+    assert joins.tolist() == picked
+    # Same partition of the nodes, components numbered from 0.
+    assert sorted(set(comp.tolist())) == list(range(len(set(roots))))
+    assert len(set(zip(comp.tolist(), roots))) == len(set(roots))
+
+
+def _union_find_joins(succ, in_order, sources):
+    """The cycle joins by an in-order scan with a Python union-find over
+    the cycles, as eulerian_circuit made them before its Borůvka forest.
+
+    Returns the join positions in in_order, or raises DisconnectedError
+    with the edges per union-find class, largest first.
+    """
+    cycle_of = _doubling_labels(succ).tolist()
+    labels = [cycle_of[i] for i in in_order.tolist()]
+    parent = {}
+
+    def find(x):
+        while x in parent:
+            up = parent[x]
+            parent[x] = x = parent.get(up, up)
+        return x
+
+    joins = []
+    for p in range(len(labels) - 1):
+        if sources[p] == sources[p + 1]:
+            ra, rb = find(labels[p]), find(labels[p + 1])
+            if ra != rb:
+                parent[ra] = rb
+                joins.append(p)
+    if len(joins) != len(set(cycle_of)) - 1:
+        sizes = collections.Counter(find(c) for c in cycle_of)
+        raise DisconnectedError(sorted(sizes.values(), reverse=True))
+    return joins
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.sets(st.integers(0, 2), min_size=1), st.integers(1, 6))
+def test_joins_match_union_find_reference(k, order, seed, parts, walks):
+    # Connected unions (one part) and split ones (two or three parts
+    # written in disjoint k-symbol blocks of an alphabet of 3k).
+    words = []
+    for p in sorted(parts):
+        part = _eulerian_union(k, order, seed + p, walks).edge_tuples()
+        words += [tuple(s + p * k for s in w) for w in part]
+    assume(words)
+    g = build_subgraph(3 * k, order, words)
+    index = _index_dtype(g.edge_count)
+    in_order = np.argsort(g.targets, kind="stable").astype(index)
+    succ = np.empty(g.edge_count, dtype=index)
+    succ[in_order] = np.arange(g.edge_count, dtype=index)
+    try:
+        want = _union_find_joins(succ, in_order, g.sources)
+    except DisconnectedError as exc:
+        with pytest.raises(DisconnectedError) as err:
+            _join_cycles(succ.copy(), in_order, g.sources)
+        assert err.value.component_edge_counts == exc.component_edge_counts
+        return
+    joined = succ.copy()
+    assert _join_cycles(joined, in_order, g.sources).tolist() == want
+    # The rotations equal the scan's successive swaps.
+    for p in want:
+        x, y = in_order[p], in_order[p + 1]
+        succ[x], succ[y] = succ[y], succ[x]
+    assert np.array_equal(joined, succ)
 
 
 def test_window_codes_reverse():
