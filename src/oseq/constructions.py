@@ -9,6 +9,7 @@ easier negated-reversal one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -268,10 +269,16 @@ def generate(recipe: ConstructionRecipe) -> OrientableSequence:
         circuit = eulerian_circuit(g)
     except DisconnectedError as exc:
         sizes = exc.component_edge_counts
+        # Run-length form, "40 x 26214, 8 x 2" (a run of one is just the
+        # size): split cells can have tens of thousands of components of a
+        # few sizes.
+        runs = []
+        for size, group in itertools.groupby(sizes):
+            count = len(list(group))
+            runs.append(f"{size} x {count}" if count > 1 else str(size))
         raise ConstructionError(
             f"edge set splits into {len(sizes)} strongly-connected components "
-            f"(edge counts {', '.join(map(str, sizes))}); "
-            f"no single circuit covers it",
+            f"(edge counts {', '.join(runs)}); no single circuit covers it",
             component_count=len(sizes), component_edge_counts=sizes) from exc
     except DomainError as exc:
         raise InternalInvariantError(

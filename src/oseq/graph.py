@@ -78,9 +78,11 @@ def _codes_to_digits(codes: np.ndarray, k: int, length: int) -> np.ndarray:
     return digits
 
 
-def _digits_to_codes(digits: np.ndarray, k: int) -> np.ndarray:
-    """Base-k code of each row of a symbol matrix, most significant first."""
-    codes = np.zeros(digits.shape[0], dtype=np.int64)
+def _digits_to_codes(digits: np.ndarray, k: int,
+                     dtype: type = np.int64) -> np.ndarray:
+    """Base-k code of each row of a symbol matrix, most significant first,
+    in a dtype that holds k**width."""
+    codes = np.zeros(digits.shape[0], dtype=dtype)
     for i in range(digits.shape[1]):
         codes *= k
         codes += digits[:, i]
@@ -312,7 +314,8 @@ class EulerianCircuit:
 
 
 def _index_dtype(m: int) -> type:
-    """int32 edge indexes while they fit; OSEQ_EDGE_CAP may allow more."""
+    """int32 for values below m while they fit: edge indexes (OSEQ_EDGE_CAP
+    may allow more) and window codes below k**n."""
     return np.int32 if m < 2**31 else np.int64
 
 
@@ -639,11 +642,14 @@ def window_ids(symbols: np.ndarray | Sequence[int], n: int,
 
     Two windows, forward or reversed, get equal ids exactly when they
     are equal.  The ids are the codes of window_codes when k**n fits in
-    64 bits; otherwise they are dense ranks, so any k and n work.
+    64 bits, as int32 while k**n < 2**31; otherwise they are dense
+    int64 ranks, so any k and n work.
     """
     windows = _cyclic_windows(symbols, n)
     if k**n <= _INT64_MAX:
-        return _digits_to_codes(windows, k), _digits_to_codes(windows[:, ::-1], k)
+        dtype = _index_dtype(k**n)
+        return (_digits_to_codes(windows, k, dtype),
+                _digits_to_codes(windows[:, ::-1], k, dtype))
     _check_code_width(k, 1)
     width = 1
     while k ** (width + 1) <= _INT64_MAX:

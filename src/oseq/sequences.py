@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ from .graph import _INT64_MAX
 
 if TYPE_CHECKING:
     from .constructions import ConstructionRecipe
+    from .oracle import Decoder
 
 _HEADER_RE = re.compile(
     r"^k=(\d+) n=(\d+) period=(\d+) method=(\S+)\s*$")
@@ -64,6 +66,12 @@ class OrientableSequence:
 
     def symbol_list(self) -> list[int]:
         return [int(s) for s in self.symbols]
+
+    @cached_property
+    def decoder(self) -> "Decoder":
+        """The window decoder that locate uses, built on first use."""
+        from .oracle import Decoder
+        return Decoder(self)
 
 
 def parse_symbols(raw: str, k: int) -> np.ndarray:

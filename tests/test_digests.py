@@ -177,8 +177,8 @@ MID = {
 LARGE = {
     ('a', 8, 7): 'c57e95a82c31ddb08b945bb411d667b3b979b821fb9eda1991d79655dd7c9643',
     ('lempel', 7, 7): '1b07ae5cc48a3354de8fc2db26955486a4a7c47e41d313e994aecbf10dd764f9',
-    ('a', 4, 11): (26216, 'f1fac3243d6c80298730193c6b6c56c32c788e2a3b139f604ff95b43d9777d1c'),
-    ('a', 3, 13): (14784, 'fea1fd6e6f678ea8b65dfc073681e8839f9aaea1c74f84d56d9941f20f816d60'),
+    ('a', 4, 11): (26216, 'bd612b59e0e1a276f56933713d13cde7ea979e0dce4e2886b6ce4f86656e6cd5'),
+    ('a', 3, 13): (14784, 'a58dc8990747dda0a1b7b5df1fd087760dc0ac79ebe2100f0b93b3ed2fc10506'),
 }
 
 LARGE_EXTENDED = {

@@ -1,15 +1,19 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oseq.constructions import ConstructionRecipe, Method, generate
 from oseq.errors import DomainError, ResourceCapError
+from oseq.graph import window_codes, window_ids
 from oseq.oracle import (
-    FIRST_PREFIX,
     Direction,
+    MutationRecord,
+    VerifyResult,
+    _stable_sort,
     exhaustive_max_period,
     locate,
     mutation_test,
@@ -262,7 +266,7 @@ def test_verify_names_first_offender_past_doubling_boundaries():
     base = np.asarray(seq.symbols).astype(np.int64)
     assert seq.period >= 1000
     offenders = set()
-    positions = [p + d for p in (FIRST_PREFIX, 2 * FIRST_PREFIX, 4 * FIRST_PREFIX)
+    positions = [p + d for p in (64, 128, 256)
                  for d in (-2, -1, 0, 1)] + [seq.period - 1]
     for pos in positions:
         for step in range(1, seq.k):
@@ -279,7 +283,7 @@ def test_verify_names_first_offender_past_doubling_boundaries():
         v = verify(mutant, seq.n, seq.k)
         assert full_verdict(v) == scan_verdict(mutant, seq.n)
         offenders.add(v.j)
-    for edge in (FIRST_PREFIX, 2 * FIRST_PREFIX, 4 * FIRST_PREFIX):
+    for edge in (64, 128, 256):
         assert offenders & set(range(edge - 4, edge))
         assert offenders & set(range(edge, edge + 4))
     assert max(offenders) >= seq.period - seq.n
@@ -336,3 +340,264 @@ def test_locate_window_validation_messages(window, message):
     seq = generate(ConstructionRecipe(Method.END_DIFFERENCE, 5, 3))
     with pytest.raises(DomainError, match=message):
         locate(seq, window)
+
+
+def doubling_first_offender(fwd, rev, repeated):
+    """The witness rule as verify applied it before its one-pass reject:
+    the ids of doubling prefixes of 64, 128, ... windows until one of
+    them repeats, then a Python scan over that prefix with a dict of
+    first positions, restricted to the windows whose forward id repeats."""
+    size = 64
+    while size < fwd.size:
+        prefix = np.sort(np.concatenate([fwd[:size], rev[:size]]))
+        later = prefix[1:]
+        clashing = later[later == prefix[:-1]]
+        if clashing.size:
+            repeated = clashing
+            break
+        size *= 2
+    keep = np.flatnonzero(np.isin(fwd[:size], repeated))
+    seen = {}
+    for j, code, reversed_code in zip(keep.tolist(), fwd[keep].tolist(),
+                                      rev[keep].tolist()):
+        if code in seen:
+            return VerifyResult(False, kind="duplicate", i=seen[code], j=j,
+                                message=f"windows {seen[code]} and {j} are equal")
+        seen[code] = j
+        partner = seen.get(reversed_code)
+        if partner is not None:
+            return VerifyResult(
+                False, kind="reversal", i=partner, j=j,
+                message=(f"window {j} is window {partner} reversed"
+                         if partner != j else
+                         f"window {j} is a palindrome (its own reversal)"))
+    raise AssertionError("violation detected but no offender found")
+
+
+def doubling_verdict(symbols, n, k):
+    """verify's verdict with the doubling-prefix reject as reference; the
+    period must be at least n long."""
+    fwd, rev = window_ids(symbols, n, k)
+    ids = np.sort(np.concatenate([fwd, rev]))
+    later = ids[1:]
+    repeated = later[later == ids[:-1]]
+    if not repeated.size:
+        return VerifyResult(True)
+    return doubling_first_offender(fwd, rev, repeated)
+
+
+def offender_cases():
+    """Named periods whose first offender sits early, late, past the old
+    doubling boundaries, or nowhere."""
+    rng = np.random.default_rng(1993)
+    base = np.asarray(generate(ConstructionRecipe(Method.END_DIFFERENCE, 5, 5)).symbols)
+    m = base.size
+    late = base.copy()
+    late[m - 5:] = base[100:105]
+    cases = {
+        "zeros": (np.zeros(1000, np.uint8), 4, 3),
+        "orientable": (base, 5, 5),
+        "then-reversed": (np.concatenate([base, base[::-1]]), 5, 5),
+        "late-duplicate": (late, 5, 5),
+    }
+    for pos in (63, 64, 127, 128, 255, 256, 511, 512, m - 1):
+        mutant = base.copy()
+        mutant[pos] = (mutant[pos] + 1 + rng.integers(4)) % 5
+        cases[f"corrupt-{pos}"] = (mutant, 5, 5)
+    wide = rng.integers(0, 11, 5000)
+    cases["k11-n19"] = (wide, 19, 11)
+    for kind, b in (("duplicate", 4900), ("reversal", 4000), ("duplicate", 70)):
+        planted = wide.copy()
+        window = wide[1000:1019]
+        planted[b:b + 19] = window if kind == "duplicate" else window[::-1]
+        cases[f"k11-n19-{kind}-{b}"] = (planted, 19, 11)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(offender_cases()))
+def test_one_pass_reject_matches_doubling_reference(name):
+    symbols, n, k = offender_cases()[name]
+    got = verify(symbols, n, k)
+    assert got == doubling_verdict(symbols, n, k)
+    assert full_verdict(got) == scan_verdict(symbols, n)
+
+
+def test_one_pass_reject_matches_doubling_reference_on_random_periods():
+    # Random periods reject early; single corruptions of a generated
+    # period reject anywhere, including past every doubling boundary.
+    rng = np.random.default_rng(8)
+    periods = []
+    for _ in range(1500):
+        k = int(rng.integers(2, 12))
+        n = int(rng.integers(1, 9))
+        periods.append((rng.integers(0, k, int(rng.integers(n, 300))), n, k))
+    for method, k, n in (("a", 5, 5), ("lempel", 3, 6), ("a", 11, 3), ("lempel", 4, 5)):
+        base = np.asarray(generate(ConstructionRecipe(Method(method), k, n)).symbols)
+        for _ in range(150):
+            mutant = base.copy()
+            for pos in rng.integers(0, base.size, int(rng.integers(1, 3))):
+                mutant[pos] = (int(mutant[pos]) + 1 + rng.integers(k - 1)) % k
+            periods.append((mutant, n, k))
+    for symbols, n, k in periods:
+        assert verify(symbols, n, k) == doubling_verdict(symbols, n, k)
+
+
+@pytest.mark.parametrize("n,dtype", [(30, np.int32), (31, np.int64)])
+def test_window_ids_are_int32_below_2_to_31(n, dtype):
+    rng = np.random.default_rng(n)
+    symbols = rng.integers(0, 2, 400).astype(np.uint8)
+    fwd, rev = window_ids(symbols, n, 2)
+    assert fwd.dtype == rev.dtype == dtype
+    assert fwd.tolist() == window_codes(symbols, n, 2).tolist()
+    assert rev.tolist() == window_codes(symbols, n, 2, reverse=True).tolist()
+    planted = symbols.copy()
+    planted[300:300 + n] = symbols[50:50 + n]
+    flipped = symbols.copy()
+    flipped[300:300 + n] = symbols[50:50 + n][::-1]
+    for s in (symbols, planted, flipped):
+        assert full_verdict(verify(s, n, 2)) == scan_verdict(s, n)
+    assert not verify(planted, n, 2).accepted
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([np.int32, np.int64]).flatmap(
+    lambda dtype: st.tuples(
+        st.just(dtype),
+        st.lists(st.integers(0, 2**31 - 1 if dtype is np.int32 else 2**63 - 1),
+                 min_size=1, max_size=60),
+        st.integers(0, 62),
+    )
+))
+def test_stable_sort_matches_stable_argsort(case):
+    # Shifting the values down by a random amount gives both the packed
+    # sort (small values) and the stable argsort (values near 2**63).
+    dtype, values, shift = case
+    values = np.array(values, dtype=dtype) >> min(shift, 30 if dtype is np.int32 else 62)
+    values = np.concatenate([values, values[::2]])
+    want = np.argsort(values, kind="stable")
+    got = values.copy()
+    order = _stable_sort(got)
+    assert got.dtype == values.dtype
+    assert order.tolist() == want.tolist()
+    assert got.tolist() == values[want].tolist()
+
+
+@pytest.mark.parametrize("m", [2, 64, 100])
+@pytest.mark.parametrize("packed", [True, False])
+def test_stable_sort_at_the_packing_limit(m, packed):
+    # Value and position share one int64 key while the largest value is
+    # below 2**(63 - b), b the bit length of m; from there on it sorts by
+    # a stable argsort.
+    top = 2 ** (63 - m.bit_length()) - (1 if packed else 0)
+    values = np.array([top, 0, top, 1] * (m // 2), dtype=np.int64)[:m]
+    want = np.argsort(values, kind="stable")
+    got = values.copy()
+    assert _stable_sort(got).tolist() == want.tolist()
+    assert got.tolist() == values[want].tolist()
+
+
+def window_positions(symbols, n):
+    """First position of each cyclic n-window, as a plain dict."""
+    m = len(symbols)
+    first = {}
+    for i in range(m):
+        first.setdefault(tuple(int(symbols[(i + d) % m]) for d in range(n)), i)
+    return first
+
+
+def reference_locate(first, window):
+    window = tuple(window)
+    if window in first:
+        return (first[window], "forward")
+    if window[::-1] in first:
+        return (first[window[::-1]], "reverse")
+    return None
+
+
+# k**n < 2**31 (int32 codes) first, then wider codes: (2, 40) packs code
+# and position into one sort key, and (2, 62) and (3, 39) need the stable
+# argsort.
+NARROW_KN = [(2, 30), (3, 19), (5, 13), (7, 11), (11, 8)]
+WIDE_KN = [(2, 40), (2, 62), (3, 39)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_decoder_matches_window_dict(data):
+    k, n = data.draw(st.sampled_from(NARROW_KN + WIDE_KN))
+    symbols = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=160))
+    assume(verify(np.array(symbols), n, k).accepted)
+    seq = OrientableSequence(k, n, len(symbols), np.array(symbols))
+    first = window_positions(symbols, n)
+    m = len(symbols)
+    queries = []
+    for pos in data.draw(st.lists(st.integers(0, m - 1), max_size=6)):
+        window = [symbols[(pos + d) % m] for d in range(n)]
+        queries += [window, window[::-1]]
+    half = data.draw(st.lists(st.integers(0, k - 1), min_size=(n + 1) // 2,
+                              max_size=(n + 1) // 2))
+    queries.append(half + half[:n // 2][::-1])
+    queries += data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=n,
+                                           max_size=n), max_size=4))
+    rows = []
+    for window in queries:
+        hit = locate(seq, window)
+        got = None if hit is None else (hit.position, hit.direction.value)
+        assert got == reference_locate(first, window)
+        rows.append(got)
+    position, reverse, found = seq.decoder.decode(np.array(queries, dtype=np.int64))
+    batch = [(int(p), "reverse" if r else "forward") if f else None
+             for p, r, f in zip(position, reverse, found)]
+    assert batch == rows
+    assert position[~found].tolist() == [-1] * int((~found).sum())
+
+
+def test_decoder_is_built_once_and_sized_per_window():
+    narrow = generate(ConstructionRecipe(Method.LEMPEL_LIFT, 3, 5))
+    assert narrow.decoder is narrow.decoder
+    assert narrow.decoder.nbytes == 8 * narrow.period
+    rng = np.random.default_rng(40)
+    wide = OrientableSequence(2, 40, 300, rng.integers(0, 2, 300))
+    assert wide.decoder.nbytes == 12 * 300
+
+
+def test_decoder_validates_windows():
+    seq = generate(ConstructionRecipe(Method.END_DIFFERENCE, 5, 3))
+    decoder = seq.decoder
+    assert decoder.decode(np.zeros((0, 3), np.uint8))[2].tolist() == []
+    with pytest.raises(DomainError, match="q x 3 matrix"):
+        decoder.decode(np.zeros(3, np.uint8))
+    with pytest.raises(DomainError, match="q x 3 matrix"):
+        decoder.decode(np.zeros((2, 4), np.uint8))
+    with pytest.raises(DomainError, match="must be integers"):
+        decoder.decode(np.zeros((2, 3)))
+    with pytest.raises(DomainError, match="out of range"):
+        decoder.decode(np.array([[0, 1, 5]]))
+    with pytest.raises(DomainError, match="out of range"):
+        decoder.decode(np.array([[0, -1, 2]]))
+
+
+def test_locate_refuses_codes_past_64_bits():
+    rng = np.random.default_rng(19)
+    seq = OrientableSequence(11, 19, 200, rng.integers(0, 11, 200))
+    with pytest.raises(ResourceCapError):
+        locate(seq, [0] * 19)
+
+
+def test_mutation_report_matches_int64_mutants():
+    # mutation_test corrupts copies in the sequence's own dtype; the
+    # records must be those of int64 copies.
+    seq = generate(ConstructionRecipe(Method.LEMPEL_LIFT, 4, 4))
+    assert seq.symbols.dtype == np.uint8
+    report = mutation_test(seq, 80, seed=3)
+    rng = random.Random(3)
+    base = np.asarray(seq.symbols).astype(np.int64)
+    records = []
+    for _ in range(80):
+        pos = rng.randrange(seq.period)
+        new = (int(base[pos]) + 1 + rng.randrange(seq.k - 1)) % seq.k
+        mutant = base.copy()
+        mutant[pos] = new
+        records.append(MutationRecord(pos, int(base[pos]), new,
+                                      verify(mutant, seq.n, seq.k).accepted))
+    assert report.records == tuple(records)
