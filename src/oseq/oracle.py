@@ -152,7 +152,7 @@ def _stable_sort(values: np.ndarray) -> np.ndarray:
     While every value and position fit together in 63 bits, one int64
     sort of value << b | position does it: about half the time of an
     unstable argsort, and a sixth of a stable one, on 2.1M int32 codes.
-    The only temporary is that key.
+    Its only temporary is that key.
     """
     m = values.size
     shift = m.bit_length()
