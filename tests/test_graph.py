@@ -11,6 +11,7 @@ from oseq.constructions import end_difference_graph
 from oseq.errors import DisconnectedError, DomainError, ResourceCapError
 from oseq.graph import (
     DBSubgraph,
+    EulerianCircuit,
     build_subgraph,
     circuit_to_sequence,
     code_to_tuple,
@@ -288,6 +289,33 @@ def test_eulerian_circuit_preconditions():
         eulerian_circuit(build_subgraph(3, 1, [(0, 0), (1, 2)]))
     with pytest.raises(DomainError):
         eulerian_circuit(build_subgraph(2, 1, []))
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([1, 0], "edge codes must be strictly increasing"),
+    ([0, 4, 4], "edge codes must be strictly increasing"),
+    ([-1, 3], "edge code out of range"),
+    ([0, 27], "edge code out of range"),
+])
+def test_subgraph_rejects_bad_edge_codes(edges, message):
+    with pytest.raises(DomainError, match=message):
+        DBSubgraph(3, 2, np.array(edges))
+
+
+def test_circuit_rejects_broken_invariants():
+    good = eulerian_circuit(full_de_bruijn(2, 2))
+    start = good.start_vertex
+    swapped = good.edges.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    for edges, vertex, message in [
+        (good.edges[:0], start, "cannot be empty"),
+        (np.concatenate([good.edges, good.edges]), start, "repeats an edge"),
+        (swapped, start, "do not chain"),
+        (good.edges, (1, 1), "start vertex does not match"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            EulerianCircuit(2, 2, edges, vertex)
+    assert np.array_equal(EulerianCircuit(2, 2, good.edges, start).edges, good.edges)
 
 
 def _eulerian_union(k, order, seed, walks):
