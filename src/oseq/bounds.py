@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InternalInvariantError
+from .errors import InternalInvariantError
 from .graph import palindrome_free_de_bruijn
 from .tuples import (
     TupleKind,
@@ -23,6 +23,7 @@ from .tuples import (
     is_uniform,
     kind_predicate,
     all_tuples,
+    at_least,
 )
 
 LEDGER_TERMS = (
@@ -49,10 +50,8 @@ class BoundReport:
 
 
 def _check_domain(k: int, n: int) -> None:
-    if k < 2:
-        raise DomainError(f"alphabet size must be at least 2, got {k}")
-    if n < 2:
-        raise DomainError(f"window length must be at least 2, got {n}")
+    at_least(k, 2, "alphabet size")
+    at_least(n, 2, "window length")
 
 
 def period_upper_bound(k: int, n: int) -> int:

@@ -20,7 +20,7 @@ from .sequences import (
     read_sequence_file,
     write_sequence_file,
 )
-from .tables import DEFAULT_CELL_CAP, TABLE_NAMES, compute_table
+from .tables import _TABLES, DEFAULT_CELL_CAP, TABLE_NAMES, compute_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,15 +88,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_TABLE_DEFAULTS = {
-    # full extent of the bundled golden data
-    "bounds": (8, 9),
-    "a-periods": (9, 8),
-    "lempel-periods": (8, 8),
-    "known": (8, 8),
-}
-
-
 def _load_sequence(path: str, n_override: int | None = None,
                    k_override: int | None = None):
     parsed = read_sequence_file(path)
@@ -149,7 +140,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    default_k, default_n = _TABLE_DEFAULTS[args.which]
+    _, (default_k, default_n), *_ = _TABLES[args.which]
     max_k = args.max_k if args.max_k is not None else default_k
     max_n = args.max_n if args.max_n is not None else default_n
     result = compute_table(args.which, max_k, max_n,

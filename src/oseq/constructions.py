@@ -28,13 +28,14 @@ from .graph import (
     DBSubgraph,
     _check_cap,
     _check_code_width,
+    _check_words,
     _codes_to_digits,
     _digits_to_codes,
     circuit_to_sequence,
     eulerian_circuit,
 )
 from .sequences import OrientableSequence
-from .tuples import ZkTuple, count_by_doubled_pseudoweight
+from .tuples import ZkTuple, at_least, count_by_doubled_pseudoweight
 
 
 class Method(str, Enum):
@@ -89,13 +90,8 @@ def _check_domain(method: Method, k: int, n: int, t: int | None = None) -> None:
         raise DomainError(f"block width must satisfy 1 <= t <= n/2, got {t}")
 
 
-def _check_candidates(k: int, n: int, cap: int | None) -> None:
-    _check_code_width(k, n)
-    _check_cap(k**n, cap)
-
-
 def _candidate_codes(k: int, n: int, cap: int | None) -> np.ndarray:
-    _check_candidates(k, n, cap)
+    _check_words(k, n, cap)
     return np.arange(k**n, dtype=np.int64)
 
 
@@ -109,7 +105,7 @@ def _end_rule_graph(k: int, n: int, cap: int | None,
     last symbols sorted.  Nothing of size k**n is built, but the size cap
     still applies to k**n.
     """
-    _check_candidates(k, n, cap)
+    _check_words(k, n, cap)
     middles = np.arange(0, k ** (n - 1), k, dtype=np.int64)
     block = middles.size * differences.size
     edges = np.empty(k * block, dtype=np.int64)
@@ -188,10 +184,8 @@ def low_pseudoweight_graph(k: int, n: int, cap: int | None = None) -> DBSubgraph
     The resulting edge set is antinegasymmetric and balanced; it feeds the
     lift below.
     """
-    if k < 2:
-        raise DomainError("low-pseudoweight graph needs k >= 2")
-    if n < 2:
-        raise DomainError("low-pseudoweight graph needs n >= 2")
+    at_least(k, 2, "alphabet size")
+    at_least(n, 2, "window length")
     codes = _candidate_codes(k, n, cap)
     digits = _codes_to_digits(codes, k, n)
     weights = np.where(digits == 0, k, 2 * digits).sum(axis=1)

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DisconnectedError, DomainError, ResourceCapError
-from .tuples import ZkTuple, checked_word
+from .tuples import ZkTuple, at_least, checked_word
 
 DEFAULT_EDGE_CAP = 1 << 26
 EDGE_CAP_ENV = "OSEQ_EDGE_CAP"
@@ -34,8 +34,7 @@ def edge_cap() -> int:
         value = int(raw)
     except ValueError as exc:
         raise DomainError(f"{EDGE_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise DomainError(f"{EDGE_CAP_ENV} must be positive, got {value}")
+    at_least(value, 1, EDGE_CAP_ENV)
     return value
 
 
@@ -49,6 +48,12 @@ def _check_code_width(k: int, length: int) -> None:
     if k**length > _INT64_MAX:
         raise ResourceCapError(
             f"{k}**{length} does not fit in 64-bit edge codes")
+
+
+def _check_words(k: int, length: int, cap: int | None) -> None:
+    """All k**length words fit in 64-bit codes and under the edge cap."""
+    _check_code_width(k, length)
+    _check_cap(k**length, cap)
 
 
 def tuple_to_code(symbols: Sequence[int], k: int) -> int:
@@ -133,10 +138,8 @@ class DBSubgraph:
     duplicates_dropped: int = 0
 
     def __post_init__(self):
-        if self.k < 2:
-            raise DomainError(f"alphabet size must be at least 2, got {self.k}")
-        if self.order < 1:
-            raise DomainError(f"order must be at least 1, got {self.order}")
+        at_least(self.k, 2, "alphabet size")
+        at_least(self.order, 1, "order")
         _check_code_width(self.k, self.order + 1)
         edges = np.asarray(self.edges, dtype=np.int64)
         object.__setattr__(self, "edges", edges)
@@ -208,10 +211,8 @@ def build_subgraph(k: int, order: int,
 
     The number of dropped duplicates is reported on the result.
     """
-    if k < 2:
-        raise DomainError(f"alphabet size must be at least 2, got {k}")
-    if order < 1:
-        raise DomainError(f"order must be at least 1, got {order}")
+    at_least(k, 2, "alphabet size")
+    at_least(order, 1, "order")
     codes = [tuple_to_code(checked_word(edge, k, order + 1, "edge"), k)
              for edge in edges]
     arr = _sorted_unique(np.asarray(codes, dtype=np.int64))
@@ -220,12 +221,10 @@ def build_subgraph(k: int, order: int,
 
 def full_de_bruijn(k: int, order: int, cap: int | None = None) -> DBSubgraph:
     """Every (order+1)-tuple over Z_k as an edge."""
-    if k < 2 or order < 1:
-        raise DomainError("need k >= 2 and order >= 1")
-    _check_code_width(k, order + 1)
-    total = k ** (order + 1)
-    _check_cap(total, cap)
-    return DBSubgraph(k, order, np.arange(total, dtype=np.int64))
+    at_least(k, 2, "alphabet size")
+    at_least(order, 1, "order")
+    _check_words(k, order + 1, cap)
+    return DBSubgraph(k, order, np.arange(k ** (order + 1), dtype=np.int64))
 
 
 def palindrome_free_de_bruijn(k: int, order: int,
@@ -675,6 +674,16 @@ def _dense_window_ids(windows: np.ndarray, k: int,
     return ids[:m], ids[m:]
 
 
+def checked_symbols(symbols: np.ndarray | Sequence[int], k: int) -> np.ndarray:
+    """One period as an array, which must be nonempty, 1-d and over Z_k."""
+    s = np.asarray(symbols)
+    if s.ndim != 1 or s.size == 0:
+        raise DomainError("sequence must be a nonempty 1-d array of symbols")
+    if int(s.min()) < 0 or int(s.max()) >= k:
+        raise DomainError(f"symbol out of range for alphabet size {k}")
+    return s
+
+
 def _cyclic_windows(symbols: np.ndarray | Sequence[int], n: int) -> np.ndarray:
     """Read-only m x n view whose row i is the cyclic window at i."""
     s = np.asarray(symbols)
@@ -693,12 +702,9 @@ def edge_graph_of_sequence(symbols: np.ndarray | Sequence[int], n: int,
     Rejects input with a repeated window: such a sequence has no edge
     graph in the one-edge-per-window sense.
     """
-    if n < 2:
-        raise DomainError(f"window length must be at least 2, got {n}")
-    s = np.asarray(symbols)
-    if s.size and (int(s.min()) < 0 or int(s.max()) >= k):
-        raise DomainError(f"symbol out of range for alphabet size {k}")
-    codes = window_codes(s, n, k)
+    at_least(k, 2, "alphabet size")
+    at_least(n, 2, "window length")
+    codes = window_codes(checked_symbols(symbols, k), n, k)
     unique = _sorted_unique(codes)
     if unique.size != codes.size:
         raise DomainError(

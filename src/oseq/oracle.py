@@ -22,10 +22,11 @@ from .graph import (
     _digits_to_codes,
     _index_dtype,
     _reverse_codes,
+    checked_symbols,
     window_ids,
 )
 from .sequences import OrientableSequence
-from .tuples import checked_word
+from .tuples import at_least, checked_word
 
 EXHAUSTIVE_STATE_CAP = 256
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -59,15 +60,6 @@ class VerifyResult:
         return self.accepted
 
 
-def _validated_symbols(symbols, k: int) -> np.ndarray:
-    s = np.asarray(symbols)
-    if s.ndim != 1 or s.size == 0:
-        raise DomainError("sequence must be a nonempty 1-d array of symbols")
-    if int(s.min()) < 0 or int(s.max()) >= k:
-        raise DomainError(f"symbol out of range for alphabet size {k}")
-    return s
-
-
 def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
     """Decide whether one period yields distinct, reversal-free n-windows.
 
@@ -77,11 +69,9 @@ def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
     sort of all forward and reversed ids decides; a rejection then names
     its witness from the positions whose ids repeat, in one more pass.
     """
-    if k < 2:
-        raise DomainError(f"alphabet size must be at least 2, got {k}")
-    if n < 1:
-        raise DomainError(f"window length must be at least 1, got {n}")
-    s = _validated_symbols(symbols, k)
+    at_least(k, 2, "alphabet size")
+    at_least(n, 1, "window length")
+    s = checked_symbols(symbols, k)
     m = s.size
     if m < n:
         return VerifyResult(False, kind="short-period",
@@ -286,8 +276,8 @@ def exhaustive_max_period(k: int, n: int,
     quotiented out by forcing the smallest used window first, and
     reflection by only starting from windows below their own reversal.
     """
-    if k < 2 or n < 2:
-        raise DomainError("need k >= 2 and n >= 2")
+    at_least(k, 2, "alphabet size")
+    at_least(n, 2, "window length")
     total = k**n
     if total > EXHAUSTIVE_STATE_CAP:
         raise ResourceCapError(
@@ -380,10 +370,8 @@ def mutation_test(seq: OrientableSequence, trials: int,
     Each trial replaces one symbol with a different one and records the
     verdict.  Deterministic for a fixed seed.
     """
-    if seq.period < 2:
-        raise DomainError("mutation test needs a period of at least 2")
-    if trials < 0:
-        raise DomainError("trials must be nonnegative")
+    at_least(seq.period, 2, "mutation test period")
+    at_least(trials, 0, "trials")
     rng = random.Random(seed)
     base = np.asarray(seq.symbols)
     records = []

@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .graph import _INT64_MAX
+from .graph import _INT64_MAX, checked_symbols
+from .tuples import at_least
 
 if TYPE_CHECKING:
     from .constructions import ConstructionRecipe
@@ -45,16 +46,10 @@ class OrientableSequence:
     recipe: "ConstructionRecipe | None" = None
 
     def __post_init__(self):
-        if self.k < 2:
-            raise DomainError(f"alphabet size must be at least 2, got {self.k}")
-        if self.n < 2:
-            raise DomainError(f"window length must be at least 2, got {self.n}")
-        symbols = np.asarray(self.symbols)
-        if symbols.ndim != 1 or symbols.size == 0:
-            raise DomainError("symbols must be a nonempty 1-d array")
-        if int(symbols.min()) < 0 or int(symbols.max()) >= self.k:
-            raise DomainError(f"symbol out of range for alphabet size {self.k}")
-        symbols = symbols.astype(np.min_scalar_type(self.k - 1), copy=True)
+        at_least(self.k, 2, "alphabet size")
+        at_least(self.n, 2, "window length")
+        symbols = checked_symbols(self.symbols, self.k).astype(
+            np.min_scalar_type(self.k - 1), copy=True)
         symbols.flags.writeable = False
         object.__setattr__(self, "symbols", symbols)
         if self.period != symbols.size:
@@ -84,18 +79,15 @@ def parse_symbols(raw: str, k: int) -> np.ndarray:
         if not (raw.isascii() and raw.isdigit()):
             raise DomainError("symbols must be contiguous digits for k <= 10")
         symbols = np.frombuffer(raw.encode("ascii"), np.uint8) - ord("0")
-        top = int(symbols.max())
     else:
         parts = raw.split(",")
         if not all(p.isascii() and p.isdigit() for p in parts):
             raise DomainError("symbols must be comma-separated integers")
         symbols = [int(p) for p in parts]
-        top = max(symbols)
-    if top >= k:
-        raise DomainError(f"symbol out of range for alphabet size {k}")
-    if top > _INT64_MAX:
-        raise DomainError(f"symbol {top} does not fit in 64 bits")
-    symbols = np.asarray(symbols, dtype=np.uint8 if k <= 10 else np.int64)
+        if max(symbols) > _INT64_MAX:
+            raise DomainError(f"symbol {max(symbols)} does not fit in 64 bits")
+    symbols = checked_symbols(
+        np.asarray(symbols, dtype=np.uint8 if k <= 10 else np.int64), k)
     symbols.flags.writeable = False
     return symbols
 

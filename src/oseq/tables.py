@@ -19,8 +19,18 @@ from importlib import resources
 from .bounds import period_upper_bound
 from .constructions import ConstructionRecipe, Method, expected_period, generate
 from .errors import DomainError
+from .tuples import at_least
 
-TABLE_NAMES = ("bounds", "a-periods", "lempel-periods", "known")
+# For each table: the least (k, n) of its grid; its default (max_k, max_n),
+# the full extent of the bundled golden data; its golden key; and the
+# construction that fills its cells (None: bounds, or named per cell in known).
+_TABLES = {
+    "bounds": ((2, 2), (8, 9), "bounds", None),
+    "a-periods": ((5, 2), (9, 8), "end_difference_periods", Method.END_DIFFERENCE),
+    "lempel-periods": ((3, 3), (8, 8), "lifted_periods", Method.LEMPEL_LIFT),
+    "known": ((3, 2), (8, 8), "largest_known", None),
+}
+TABLE_NAMES = tuple(_TABLES)
 DEFAULT_CELL_CAP = 1_000_000
 
 STATUS_OK = "ok"
@@ -113,46 +123,21 @@ def _period_cell(which: str, golden: int | None, method: Method,
                      _status(seq.period, golden))
 
 
-def _known_cell(n: int, k: int, cell_cap: int) -> TableCell | None:
-    golden = _golden("largest_known", n, k)
-    if golden is None:
-        return None
-    if golden["method"] == "external":
-        return TableCell("known", n, k, golden["value"],
-                         period_upper_bound(k, n), "external", STATUS_OK)
-    return _period_cell("known", golden["value"], Method(golden["method"]),
-                        n, k, cell_cap)
-
-
 def _compute_cell(which: str, n: int, k: int, cell_cap: int) -> TableCell | None:
-    if which == "bounds":
-        value = period_upper_bound(k, n)
-        previous = _golden("bounds_previous", n, k)
-        return TableCell(which, n, k, value, previous, "computed",
-                         _status(value, _golden("bounds", n, k)))
-    if which == "a-periods":
-        return _period_cell(which, _golden("end_difference_periods", n, k),
-                            Method.END_DIFFERENCE, n, k, cell_cap)
-    if which == "lempel-periods":
-        return _period_cell(which, _golden("lifted_periods", n, k),
-                            Method.LEMPEL_LIFT, n, k, cell_cap)
+    _, _, key, method = _TABLES[which]
+    golden = _golden(key, n, k)
     if which == "known":
-        return _known_cell(n, k, cell_cap)
-    raise DomainError(f"unknown table {which!r}")
-
-
-def _cell_grid(which: str, max_k: int, max_n: int) -> list[tuple[int, int]]:
-    if which == "bounds":
-        ks, ns = range(2, max_k + 1), range(2, max_n + 1)
-    elif which == "a-periods":
-        ks, ns = range(5, max_k + 1), range(2, max_n + 1)
-    elif which == "lempel-periods":
-        ks, ns = range(3, max_k + 1), range(3, max_n + 1)
-    elif which == "known":
-        ks, ns = range(3, max_k + 1), range(2, max_n + 1)
-    else:
-        raise DomainError(f"unknown table {which!r}")
-    return [(n, k) for n in ns for k in ks]
+        if golden is None:
+            return None
+        if golden["method"] == "external":
+            return TableCell(which, n, k, golden["value"],
+                             period_upper_bound(k, n), "external", STATUS_OK)
+        golden, method = golden["value"], Method(golden["method"])
+    if method is not None:
+        return _period_cell(which, golden, method, n, k, cell_cap)
+    value = period_upper_bound(k, n)
+    return TableCell(which, n, k, value, _golden("bounds_previous", n, k),
+                     "computed", _status(value, golden))
 
 
 def compute_table(which: str, max_k: int, max_n: int,
@@ -167,9 +152,11 @@ def compute_table(which: str, max_k: int, max_n: int,
     """
     if which not in TABLE_NAMES:
         raise DomainError(f"table must be one of {TABLE_NAMES}, got {which!r}")
-    if max_k < 2 or max_n < 2:
-        raise DomainError("need max_k >= 2 and max_n >= 2")
-    grid = _cell_grid(which, max_k, max_n)
+    at_least(max_k, 2, "max_k")
+    at_least(max_n, 2, "max_n")
+    (least_k, least_n), *_ = _TABLES[which]
+    grid = [(n, k) for n in range(least_n, max_n + 1)
+            for k in range(least_k, max_k + 1)]
     workers = min(workers, len(grid), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

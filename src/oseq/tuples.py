@@ -30,15 +30,11 @@ class ZkTuple:
     symbols: tuple[int, ...]
 
     def __post_init__(self):
-        if self.k < 2:
-            raise DomainError(f"alphabet size must be at least 2, got {self.k}")
-        symbols = tuple(int(s) for s in self.symbols)
-        object.__setattr__(self, "symbols", symbols)
-        if not symbols:
+        at_least(self.k, 2, "alphabet size")
+        if not len(self.symbols):
             raise DomainError("tuple must have at least one symbol")
-        for s in symbols:
-            if not 0 <= s < self.k:
-                raise DomainError(f"symbol {s} out of range for alphabet size {self.k}")
+        object.__setattr__(self, "symbols", checked_word(
+            self.symbols, self.k, len(self.symbols), "tuple"))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -56,6 +52,12 @@ class ZkTuple:
     def negate(self) -> "ZkTuple":
         """Symbol-wise additive inverse modulo k."""
         return ZkTuple(self.k, tuple((-s) % self.k for s in self.symbols))
+
+
+def at_least(value: int, least: int, noun: str) -> None:
+    """Raise DomainError, naming the parameter by noun, unless value >= least."""
+    if value < least:
+        raise DomainError(f"{noun} must be at least {least}, got {value}")
 
 
 def checked_word(word: "ZkTuple | Sequence[int]", k: int, length: int,
@@ -170,10 +172,8 @@ def kind_predicate(kind: TupleKind):
 
 
 def _check_counting_domain(k: int, n: int) -> None:
-    if k < 2:
-        raise DomainError(f"alphabet size must be at least 2, got {k}")
-    if n < 1:
-        raise DomainError(f"tuple length must be at least 1, got {n}")
+    at_least(k, 2, "alphabet size")
+    at_least(n, 1, "tuple length")
 
 
 def count_tuples(kind: TupleKind, k: int, n: int) -> int:

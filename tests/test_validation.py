@@ -75,16 +75,17 @@ ENTRY_POINTS = {
                           TypeError, None),
     "build_subgraph-range": (lambda: build_subgraph(3, 2, [(0, 0, 3)]), DomainError,
                              "symbol 3 out of range for alphabet size 3"),
-    "full_de_bruijn-k": (lambda: full_de_bruijn(1, 2), DomainError, None),
-    "full_de_bruijn-order": (lambda: full_de_bruijn(3, 0), DomainError, None),
+    "full_de_bruijn-k": (lambda: full_de_bruijn(1, 2), DomainError, ALPHABET),
+    "full_de_bruijn-order": (lambda: full_de_bruijn(3, 0), DomainError,
+                             "order must be at least 1, got 0"),
     "edge_graph_of_sequence-k": (lambda: edge_graph_of_sequence([0, 0, 0], 2, 1),
-                                 DomainError, None),
+                                 DomainError, ALPHABET),
     "edge_graph_of_sequence-n": (lambda: edge_graph_of_sequence([0, 1, 2], 1, 3),
                                  DomainError, "window length must be at least 2, got 1"),
     "edge_graph_of_sequence-empty": (lambda: edge_graph_of_sequence([], 2, 3),
-                                     DomainError, None),
+                                     DomainError, SHAPE),
     "edge_graph_of_sequence-2d": (lambda: edge_graph_of_sequence(FLAT, 2, 3),
-                                  ValueError, None),
+                                  DomainError, SHAPE),
     "edge_graph_of_sequence-range": (lambda: edge_graph_of_sequence([0, 1, 3], 2, 3),
                                      DomainError, RANGE),
     "verify-k": (lambda: verify([0, 0, 0], 2, 1), DomainError, ALPHABET),
@@ -94,23 +95,27 @@ ENTRY_POINTS = {
     "verify-2d": (lambda: verify(FLAT, 2, 3), DomainError, SHAPE),
     "verify-range": (lambda: verify([0, 1, 3], 2, 3), DomainError, RANGE),
     "verify-negative": (lambda: verify([0, -1, 2], 2, 3), DomainError, RANGE),
-    "exhaustive_max_period-k": (lambda: exhaustive_max_period(1, 3), DomainError, None),
-    "exhaustive_max_period-n": (lambda: exhaustive_max_period(3, 1), DomainError, None),
+    "exhaustive_max_period-k": (lambda: exhaustive_max_period(1, 3), DomainError, ALPHABET),
+    "exhaustive_max_period-n": (lambda: exhaustive_max_period(3, 1), DomainError,
+                                "window length must be at least 2, got 1"),
     "OrientableSequence-k": (lambda: OrientableSequence(1, 2, 3, np.zeros(3, int)),
                              DomainError, ALPHABET),
     "OrientableSequence-n": (lambda: OrientableSequence(3, 1, 3, np.arange(3)),
                              DomainError, "window length must be at least 2, got 1"),
     "OrientableSequence-empty": (lambda: OrientableSequence(3, 2, 0, np.zeros(0, int)),
-                                 DomainError, None),
-    "OrientableSequence-2d": (lambda: OrientableSequence(3, 2, 4, FLAT), DomainError, None),
+                                 DomainError, SHAPE),
+    "OrientableSequence-2d": (lambda: OrientableSequence(3, 2, 4, FLAT), DomainError, SHAPE),
     "OrientableSequence-range": (lambda: OrientableSequence(3, 2, 3, np.array([0, 1, 3])),
                                  DomainError, RANGE),
     "OrientableSequence-period": (lambda: OrientableSequence(3, 2, 4, np.arange(3)),
                                   DomainError, "period 4 does not match 3 symbols"),
-    "low_pseudoweight_graph-k": (lambda: low_pseudoweight_graph(1, 3), DomainError, None),
-    "low_pseudoweight_graph-n": (lambda: low_pseudoweight_graph(3, 1), DomainError, None),
-    "compute_table-k": (lambda: compute_table("bounds", 1, 3), DomainError, None),
-    "compute_table-n": (lambda: compute_table("bounds", 3, 1), DomainError, None),
+    "low_pseudoweight_graph-k": (lambda: low_pseudoweight_graph(1, 3), DomainError, ALPHABET),
+    "low_pseudoweight_graph-n": (lambda: low_pseudoweight_graph(3, 1), DomainError,
+                                 "window length must be at least 2, got 1"),
+    "compute_table-k": (lambda: compute_table("bounds", 1, 3), DomainError,
+                        "max_k must be at least 2, got 1"),
+    "compute_table-n": (lambda: compute_table("bounds", 3, 1), DomainError,
+                        "max_n must be at least 2, got 1"),
     "compute_table-which": (lambda: compute_table("nope", 3, 3), DomainError,
                             "table must be one of ('bounds', 'a-periods', "
                             "'lempel-periods', 'known'), got 'nope'"),
