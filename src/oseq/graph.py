@@ -45,7 +45,8 @@ def _check_cap(size: int, cap: int | None) -> None:
 
 
 def _check_code_width(k: int, length: int) -> None:
-    if k**length > _INT64_MAX:
+    # k >= 2: from length 64 on, skip computing the huge power.
+    if length >= 64 or k**length > _INT64_MAX:
         raise ResourceCapError(
             f"{k}**{length} does not fit in 64-bit edge codes")
 
@@ -641,37 +642,54 @@ def window_ids(symbols: np.ndarray | Sequence[int], n: int,
 
     Two windows, forward or reversed, get equal ids exactly when they
     are equal.  The ids are the codes of window_codes when k**n fits in
-    64 bits, as int32 while k**n < 2**31; otherwise they are dense
-    int64 ranks, so any k and n work.
+    64 bits, as int32 while k**n < 2**31.  Otherwise they are dense ranks
+    among all 2m windows, found by prefix doubling (Manber & Myers, SIAM
+    J. Comput. 1993) in O(m log n): the reversed window at i is the
+    forward window at (m - i - n) mod m of the reversed period, and each
+    round ranks the words of length h + step of both cyclic strings from
+    the ranks of their first and last h symbols, in one sort, until h
+    reaches n or all 2m words differ.
     """
-    windows = _cyclic_windows(symbols, n)
-    if k**n <= _INT64_MAX:
+    if n < 64 and k**n <= _INT64_MAX:
+        windows = _cyclic_windows(symbols, n)
         dtype = _index_dtype(k**n)
         return (_digits_to_codes(windows, k, dtype),
                 _digits_to_codes(windows[:, ::-1], k, dtype))
     _check_code_width(k, 1)
-    width = 1
-    while k ** (width + 1) <= _INT64_MAX:
-        width += 1
-    return _dense_window_ids(windows, k, width)
+    s = np.asarray(symbols)
+    m = s.size
+    index = _index_dtype(2 * m)
+    h = 1
+    while h < n and k ** (h + 1) < 2**31:
+        h += 1
+    ranks = np.concatenate([_digits_to_codes(_cyclic_windows(t, h), k)
+                            for t in (s, s[::-1])])
+    count = k**h
+    if count >= 2**31:
+        # Rank the symbols, so that a pair of ranks fits in 64 bits.
+        ranks, count = _dense_ranks(ranks, index)
+    while h < n:
+        step = min(h, n - h)
+        key = ranks.astype(np.int64) * count
+        key[:m] += np.roll(ranks[:m], -step)
+        key[m:] += np.roll(ranks[m:], -step)
+        ranks, count = _dense_ranks(key, index)
+        h = h + step if count < 2 * m else n
+    return ranks[:m], np.roll(ranks[m:][::-1], 1 - n)
 
 
-def _dense_window_ids(windows: np.ndarray, k: int,
-                      width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank the m forward and m reversed rows of a window matrix among
-    all 2m, comparing them as base-k words of at most width symbols."""
-    m = windows.shape[0]
-    keys = [np.concatenate([_digits_to_codes(rows[:, a:a + width], k)
-                            for rows in (windows, windows[:, ::-1])])
-            for a in range(0, windows.shape[1], width)]
-    order = np.lexsort(keys)
-    new = np.zeros(2 * m, dtype=bool)
-    for key in keys:
-        ranked = key[order]
-        new[1:] |= ranked[1:] != ranked[:-1]
-    ids = np.empty(2 * m, dtype=np.int64)
-    ids[order] = np.cumsum(new)
-    return ids[:m], ids[m:]
+def _dense_ranks(values: np.ndarray, index: type) -> tuple[np.ndarray, int]:
+    """Each value's place among the distinct values, from 0, in the dtype
+    index, and how many distinct values there are."""
+    order = np.argsort(values)
+    ranked = values[order]
+    new = np.empty(values.size, dtype=index)
+    new[:1] = 0
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    np.cumsum(new, out=new)
+    ranks = np.empty_like(new)
+    ranks[order] = new
+    return ranks, int(new[-1]) + 1
 
 
 def checked_symbols(symbols: np.ndarray | Sequence[int], k: int) -> np.ndarray:

@@ -1,12 +1,13 @@
 import collections
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oseq import graph
+from oseq import graph, oracle
 from oseq.constructions import end_difference_graph
 from oseq.errors import DisconnectedError, DomainError, ResourceCapError
 from oseq.graph import (
@@ -31,7 +32,7 @@ from oseq.graph import (
     _cycle_labels,
     _cycle_ranks,
     _cyclic_windows,
-    _dense_window_ids,
+    _digits_to_codes,
     _doubling_labels,
     _index_dtype,
     _join_cycles,
@@ -690,6 +691,96 @@ def test_dense_window_ids_keep_window_equality(case):
         assert sorted(set(ids)) == list(range(len(set(ids))))
         assert {(a == b) == (c == d) for a, c in zip(codes, ids)
                 for b, d in zip(codes, ids)} == {True}
+
+
+def _dense_window_ids(windows, k, width):
+    """Rank the m forward and m reversed rows of a window matrix among
+    all 2m, comparing them as base-k words of at most width symbols.
+
+    The chunked lexsort that window_ids used past 64-bit codes before
+    prefix doubling, kept as the reference: it sorts n/width keys of all
+    2m windows at once, so its time and memory grow with m * n.
+    """
+    m = windows.shape[0]
+    keys = [np.concatenate([_digits_to_codes(rows[:, a:a + width], k)
+                            for rows in (windows, windows[:, ::-1])])
+            for a in range(0, windows.shape[1], width)]
+    order = np.lexsort(keys)
+    new = np.zeros(2 * m, dtype=bool)
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    ids = np.empty(2 * m, dtype=np.int64)
+    ids[order] = np.cumsum(new)
+    return ids[:m], ids[m:]
+
+
+def lexsort_window_ids(symbols, n, k):
+    """window_ids past 64-bit codes through the chunked-lexsort reference."""
+    width = 1
+    while k ** (width + 1) < 2**63:
+        width += 1
+    return _dense_window_ids(_cyclic_windows(symbols, n), k, width)
+
+
+def first_holders(fwd, rev):
+    """Each of the 2m ids replaced by the first index holding it, so two
+    id pairs give equal arrays exactly when they tie the same windows."""
+    _, first, inverse = np.unique(np.concatenate([fwd, rev]),
+                                  return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def wide_window_cases():
+    """Seeded periods past 64-bit window codes: random ones; ones with a
+    planted duplicate or reversal of an earlier window, or a copy of all
+    but its last symbol; and repeats of a short block, whose windows tie
+    in many ways at once.  At k = 2**40 the blocks mix 0, 1 and 2**24,
+    whose pairs k * a + b would wrap past 64 bits, a + 2**24 onto a."""
+    rng = np.random.default_rng(1993)
+    cases = []
+    params = [(2, n) for n in range(64, 201, 17)] + [(11, 19), (2**40, 5)]
+    for k, n in params:
+        for kind in ("random", "duplicate", "reversal", "near", "block"):
+            planted = kind in ("duplicate", "reversal", "near")
+            m = int(rng.integers(2 * n + 1 if planted else 1, 4 * n))
+            symbols = rng.integers(0, k, m)
+            if kind == "block":
+                pool = [0, 1, 2**24] if k > 2**24 else range(min(k, 3))
+                symbols = np.resize(rng.choice(pool, int(rng.integers(1, 9))), m)
+            elif planted:
+                a, b = rng.integers(m // 2 - n), rng.integers(m // 2, m - n)
+                window = symbols[a:a + n].copy()
+                if kind == "near":
+                    window[-1] = (window[-1] + 1) % k
+                symbols[b:b + n] = window[::-1] if kind == "reversal" else window
+            cases.append(pytest.param(symbols, k, n, id=f"k{k}-n{n}-m{m}-{kind}"))
+    # Windows that differ only in a first symbol of 0 or 2**24.
+    wrap = np.array([2**24, 1, 1, 1, 1, 0, 1, 1, 1, 1])
+    return cases + [pytest.param(wrap, 2**40, 5, id="k2**40-wrap")]
+
+
+@pytest.mark.parametrize("symbols,k,n", wide_window_cases())
+def test_doubling_ids_match_lexsort_reference(monkeypatch, symbols, k, n):
+    fwd, rev = window_ids(symbols, n, k)
+    assert np.array_equal(first_holders(fwd, rev),
+                          first_holders(*lexsort_window_ids(symbols, n, k)))
+    got = oracle.verify(symbols, n, k)
+    monkeypatch.setattr(oracle, "window_ids", lexsort_window_ids)
+    assert oracle.verify(symbols, n, k) == got
+
+
+def test_wide_verify_memory_stays_linear():
+    # The chunked lexsort took about 58 MB at m = n = 8,000, growing with
+    # m * n; prefix doubling keeps a few arrays of 2m ranks.
+    symbols = np.random.default_rng(10).integers(0, 10, 20_000)
+    tracemalloc.start()
+    try:
+        assert oracle.verify(symbols, 20_000, 10).accepted
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_window_ids_switch_to_dense_ids_past_64_bits():
