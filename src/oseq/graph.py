@@ -642,13 +642,13 @@ def window_ids(symbols: np.ndarray | Sequence[int], n: int,
 
     Two windows, forward or reversed, get equal ids exactly when they
     are equal.  The ids are the codes of window_codes when k**n fits in
-    64 bits, as int32 while k**n < 2**31.  Otherwise they are dense ranks
-    among all 2m windows, found by prefix doubling (Manber & Myers, SIAM
-    J. Comput. 1993) in O(m log n): the reversed window at i is the
-    forward window at (m - i - n) mod m of the reversed period, and each
-    round ranks the words of length h + step of both cyclic strings from
-    the ranks of their first and last h symbols, in one sort, until h
-    reaches n or all 2m words differ.
+    64 bits, as int32 while k**n < 2**31.  Otherwise, for k < 2**63, they
+    are dense ranks among all 2m windows, found by prefix doubling
+    (Manber & Myers, SIAM J. Comput. 1993) in O(m log n): the reversed
+    window at i is the forward window at (m - i - n) mod m of the
+    reversed period, and each round ranks the words of length h + step
+    of both cyclic strings from the ranks of their first and last h
+    symbols, in one sort, until h reaches n or all 2m words differ.
     """
     if n < 64 and k**n <= _INT64_MAX:
         windows = _cyclic_windows(symbols, n)
@@ -666,7 +666,7 @@ def window_ids(symbols: np.ndarray | Sequence[int], n: int,
                             for t in (s, s[::-1])])
     count = k**h
     if count >= 2**31:
-        # Rank the symbols, so that a pair of ranks fits in 64 bits.
+        # h is 1: rank the symbols, so that a pair of ranks fits in 64 bits.
         ranks, count = _dense_ranks(ranks, index)
     while h < n:
         step = min(h, n - h)

@@ -12,7 +12,12 @@ from oseq.bounds import empirical_exclusion_audit, ledger_bound, period_upper_bo
 from oseq.cli import main
 from oseq.constructions import low_pseudoweight_graph
 from oseq.errors import DomainError
-from oseq.graph import DBSubgraph, build_subgraph, edge_graph_of_sequence, full_de_bruijn
+from oseq.graph import (
+    DBSubgraph,
+    build_subgraph,
+    edge_graph_of_sequence,
+    full_de_bruijn,
+)
 from oseq.oracle import exhaustive_max_period, verify
 from oseq.sequences import OrientableSequence
 from oseq.tables import compute_table
@@ -26,97 +31,90 @@ from oseq.tuples import (
 
 SYM = TupleKind.SYMMETRIC
 ALPHABET = "alphabet size must be at least 2, got 1"
+WINDOW = "window length must be at least 2, got 1"
+TUPLE = "tuple length must be at least 1, got 0"
+ORDER = "order must be at least 1, got 0"
 RANGE = "symbol out of range for alphabet size 3"
 SHAPE = "sequence must be a nonempty 1-d array of symbols"
 FLAT = np.array([[0, 1], [1, 2]])
+D = DomainError
 
+# name: (call, exception type, message or None where only the type is pinned)
 ENTRY_POINTS = {
-    "ZkTuple-k": (lambda: ZkTuple(1, (0,)), DomainError, ALPHABET),
-    "ZkTuple-k0": (lambda: ZkTuple(0, (0,)), DomainError,
+    "ZkTuple-k": (lambda: ZkTuple(1, (0,)), D, ALPHABET),
+    "ZkTuple-k0": (lambda: ZkTuple(0, (0,)), D,
                    "alphabet size must be at least 2, got 0"),
-    "ZkTuple-empty": (lambda: ZkTuple(3, ()), DomainError,
-                      "tuple must have at least one symbol"),
+    "ZkTuple-empty": (lambda: ZkTuple(3, ()), D, "tuple must have at least one symbol"),
     "ZkTuple-2d": (lambda: ZkTuple(3, FLAT), TypeError, None),
-    "ZkTuple-range": (lambda: ZkTuple(3, (0, 3)), DomainError,
+    "ZkTuple-range": (lambda: ZkTuple(3, (0, 3)), D,
                       "symbol 3 out of range for alphabet size 3"),
-    "ZkTuple-negative": (lambda: ZkTuple(3, (0, -1)), DomainError,
+    "ZkTuple-negative": (lambda: ZkTuple(3, (0, -1)), D,
                          "symbol -1 out of range for alphabet size 3"),
-    "count_tuples-k": (lambda: count_tuples(SYM, 1, 3), DomainError, ALPHABET),
-    "count_tuples-n": (lambda: count_tuples(SYM, 3, 0), DomainError,
-                       "tuple length must be at least 1, got 0"),
-    "enumerate_count-k": (lambda: enumerate_count(SYM, 1, 3), DomainError, ALPHABET),
-    "enumerate_count-n": (lambda: enumerate_count(SYM, 3, 0), DomainError,
-                          "tuple length must be at least 1, got 0"),
+    "count_tuples-k": (lambda: count_tuples(SYM, 1, 3), D, ALPHABET),
+    "count_tuples-n": (lambda: count_tuples(SYM, 3, 0), D, TUPLE),
+    "enumerate_count-k": (lambda: enumerate_count(SYM, 1, 3), D, ALPHABET),
+    "enumerate_count-n": (lambda: enumerate_count(SYM, 3, 0), D, TUPLE),
     "count_by_doubled_pseudoweight-k": (
-        lambda: count_by_doubled_pseudoweight(1, 3, 6), DomainError, ALPHABET),
+        lambda: count_by_doubled_pseudoweight(1, 3, 6), D, ALPHABET),
     "count_by_doubled_pseudoweight-n": (
-        lambda: count_by_doubled_pseudoweight(3, 0, 6), DomainError,
-        "tuple length must be at least 1, got 0"),
-    "period_upper_bound-k": (lambda: period_upper_bound(1, 3), DomainError, ALPHABET),
-    "period_upper_bound-n": (lambda: period_upper_bound(3, 1), DomainError,
-                             "window length must be at least 2, got 1"),
-    "ledger_bound-k": (lambda: ledger_bound(1, 3), DomainError, ALPHABET),
-    "ledger_bound-n": (lambda: ledger_bound(3, 1), DomainError,
-                       "window length must be at least 2, got 1"),
-    "empirical_exclusion_audit-k": (lambda: empirical_exclusion_audit(1, 3),
-                                    DomainError, ALPHABET),
-    "empirical_exclusion_audit-n": (lambda: empirical_exclusion_audit(3, 1),
-                                    DomainError, "window length must be at least 2, got 1"),
-    "DBSubgraph-k": (lambda: DBSubgraph(1, 2, np.array([0])), DomainError, ALPHABET),
-    "DBSubgraph-order": (lambda: DBSubgraph(3, 0, np.array([0])), DomainError,
-                         "order must be at least 1, got 0"),
+        lambda: count_by_doubled_pseudoweight(3, 0, 6), D, TUPLE),
+    "period_upper_bound-k": (lambda: period_upper_bound(1, 3), D, ALPHABET),
+    "period_upper_bound-n": (lambda: period_upper_bound(3, 1), D, WINDOW),
+    "ledger_bound-k": (lambda: ledger_bound(1, 3), D, ALPHABET),
+    "ledger_bound-n": (lambda: ledger_bound(3, 1), D, WINDOW),
+    "empirical_exclusion_audit-k": (
+        lambda: empirical_exclusion_audit(1, 3), D, ALPHABET),
+    "empirical_exclusion_audit-n": (
+        lambda: empirical_exclusion_audit(3, 1), D, WINDOW),
+    "DBSubgraph-k": (lambda: DBSubgraph(1, 2, np.array([0])), D, ALPHABET),
+    "DBSubgraph-order": (lambda: DBSubgraph(3, 0, np.array([0])), D, ORDER),
     "DBSubgraph-2d": (lambda: DBSubgraph(3, 2, FLAT), ValueError, None),
-    "DBSubgraph-range": (lambda: DBSubgraph(3, 2, np.array([0, 27])), DomainError,
+    "DBSubgraph-range": (lambda: DBSubgraph(3, 2, np.array([0, 27])), D,
                          "edge code out of range"),
-    "build_subgraph-k": (lambda: build_subgraph(1, 2, [(0, 0, 0)]), DomainError, ALPHABET),
-    "build_subgraph-order": (lambda: build_subgraph(3, 0, [(0,)]), DomainError,
-                             "order must be at least 1, got 0"),
+    "build_subgraph-k": (lambda: build_subgraph(1, 2, [(0, 0, 0)]), D, ALPHABET),
+    "build_subgraph-order": (lambda: build_subgraph(3, 0, [(0,)]), D, ORDER),
     "build_subgraph-2d": (lambda: build_subgraph(3, 2, np.zeros((2, 3, 2), int)),
                           TypeError, None),
-    "build_subgraph-range": (lambda: build_subgraph(3, 2, [(0, 0, 3)]), DomainError,
+    "build_subgraph-range": (lambda: build_subgraph(3, 2, [(0, 0, 3)]), D,
                              "symbol 3 out of range for alphabet size 3"),
-    "full_de_bruijn-k": (lambda: full_de_bruijn(1, 2), DomainError, ALPHABET),
-    "full_de_bruijn-order": (lambda: full_de_bruijn(3, 0), DomainError,
-                             "order must be at least 1, got 0"),
+    "full_de_bruijn-k": (lambda: full_de_bruijn(1, 2), D, ALPHABET),
+    "full_de_bruijn-order": (lambda: full_de_bruijn(3, 0), D, ORDER),
     "edge_graph_of_sequence-k": (lambda: edge_graph_of_sequence([0, 0, 0], 2, 1),
-                                 DomainError, ALPHABET),
+                                 D, ALPHABET),
     "edge_graph_of_sequence-n": (lambda: edge_graph_of_sequence([0, 1, 2], 1, 3),
-                                 DomainError, "window length must be at least 2, got 1"),
+                                 D, WINDOW),
     "edge_graph_of_sequence-empty": (lambda: edge_graph_of_sequence([], 2, 3),
-                                     DomainError, SHAPE),
-    "edge_graph_of_sequence-2d": (lambda: edge_graph_of_sequence(FLAT, 2, 3),
-                                  DomainError, SHAPE),
+                                     D, SHAPE),
+    "edge_graph_of_sequence-2d": (lambda: edge_graph_of_sequence(FLAT, 2, 3), D, SHAPE),
     "edge_graph_of_sequence-range": (lambda: edge_graph_of_sequence([0, 1, 3], 2, 3),
-                                     DomainError, RANGE),
-    "verify-k": (lambda: verify([0, 0, 0], 2, 1), DomainError, ALPHABET),
-    "verify-n": (lambda: verify([0, 1, 2], 0, 3), DomainError,
+                                     D, RANGE),
+    "verify-k": (lambda: verify([0, 0, 0], 2, 1), D, ALPHABET),
+    "verify-n": (lambda: verify([0, 1, 2], 0, 3), D,
                  "window length must be at least 1, got 0"),
-    "verify-empty": (lambda: verify([], 2, 3), DomainError, SHAPE),
-    "verify-2d": (lambda: verify(FLAT, 2, 3), DomainError, SHAPE),
-    "verify-range": (lambda: verify([0, 1, 3], 2, 3), DomainError, RANGE),
-    "verify-negative": (lambda: verify([0, -1, 2], 2, 3), DomainError, RANGE),
-    "exhaustive_max_period-k": (lambda: exhaustive_max_period(1, 3), DomainError, ALPHABET),
-    "exhaustive_max_period-n": (lambda: exhaustive_max_period(3, 1), DomainError,
-                                "window length must be at least 2, got 1"),
+    "verify-empty": (lambda: verify([], 2, 3), D, SHAPE),
+    "verify-2d": (lambda: verify(FLAT, 2, 3), D, SHAPE),
+    "verify-range": (lambda: verify([0, 1, 3], 2, 3), D, RANGE),
+    "verify-negative": (lambda: verify([0, -1, 2], 2, 3), D, RANGE),
+    "exhaustive_max_period-k": (lambda: exhaustive_max_period(1, 3), D, ALPHABET),
+    "exhaustive_max_period-n": (lambda: exhaustive_max_period(3, 1), D, WINDOW),
     "OrientableSequence-k": (lambda: OrientableSequence(1, 2, 3, np.zeros(3, int)),
-                             DomainError, ALPHABET),
+                             D, ALPHABET),
     "OrientableSequence-n": (lambda: OrientableSequence(3, 1, 3, np.arange(3)),
-                             DomainError, "window length must be at least 2, got 1"),
+                             D, WINDOW),
     "OrientableSequence-empty": (lambda: OrientableSequence(3, 2, 0, np.zeros(0, int)),
-                                 DomainError, SHAPE),
-    "OrientableSequence-2d": (lambda: OrientableSequence(3, 2, 4, FLAT), DomainError, SHAPE),
-    "OrientableSequence-range": (lambda: OrientableSequence(3, 2, 3, np.array([0, 1, 3])),
-                                 DomainError, RANGE),
-    "OrientableSequence-period": (lambda: OrientableSequence(3, 2, 4, np.arange(3)),
-                                  DomainError, "period 4 does not match 3 symbols"),
-    "low_pseudoweight_graph-k": (lambda: low_pseudoweight_graph(1, 3), DomainError, ALPHABET),
-    "low_pseudoweight_graph-n": (lambda: low_pseudoweight_graph(3, 1), DomainError,
-                                 "window length must be at least 2, got 1"),
-    "compute_table-k": (lambda: compute_table("bounds", 1, 3), DomainError,
+                                 D, SHAPE),
+    "OrientableSequence-2d": (lambda: OrientableSequence(3, 2, 4, FLAT), D, SHAPE),
+    "OrientableSequence-range": (
+        lambda: OrientableSequence(3, 2, 3, np.array([0, 1, 3])), D, RANGE),
+    "OrientableSequence-period": (lambda: OrientableSequence(3, 2, 4, np.arange(3)), D,
+                                  "period 4 does not match 3 symbols"),
+    "low_pseudoweight_graph-k": (lambda: low_pseudoweight_graph(1, 3), D, ALPHABET),
+    "low_pseudoweight_graph-n": (lambda: low_pseudoweight_graph(3, 1), D, WINDOW),
+    "compute_table-k": (lambda: compute_table("bounds", 1, 3), D,
                         "max_k must be at least 2, got 1"),
-    "compute_table-n": (lambda: compute_table("bounds", 3, 1), DomainError,
+    "compute_table-n": (lambda: compute_table("bounds", 3, 1), D,
                         "max_n must be at least 2, got 1"),
-    "compute_table-which": (lambda: compute_table("nope", 3, 3), DomainError,
+    "compute_table-which": (lambda: compute_table("nope", 3, 3), D,
                             "table must be one of ('bounds', 'a-periods', "
                             "'lempel-periods', 'known'), got 'nope'"),
 }
