@@ -164,8 +164,7 @@ _AUDIT_CLASSES = {
 }
 
 
-def empirical_exclusion_audit(k: int, n: int,
-                              cap: int | None = None) -> ExclusionAudit:
+def empirical_exclusion_audit(k: int, n: int) -> ExclusionAudit:
     """Recount the ledger's vertex classes and degree facts by enumeration.
 
     Walks every vertex of the palindrome-free digraph whose edges are
@@ -178,7 +177,7 @@ def empirical_exclusion_audit(k: int, n: int,
     closed form the ledger uses.
     """
     _check_domain(k, n)
-    g = palindrome_free_de_bruijn(k, n - 1, cap)
+    g = palindrome_free_de_bruijn(k, n - 1)
     degrees = g.degree_map()
     counts = {name: 0 for name in _AUDIT_CLASSES}
     class_degrees: dict[str, dict[str, set[int]]] = {

@@ -22,7 +22,6 @@ from .errors import (
     DisconnectedError,
     DomainError,
     InternalInvariantError,
-    ResourceCapError,
 )
 from .graph import (
     DBSubgraph,
@@ -58,16 +57,12 @@ class ConstructionRecipe:
     k: int
     n: int
     t: int | None = None
-    beta: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method(self.method))
         _check_domain(self.method, self.k, self.n, self.t)
         if self.t is not None and self.method is not Method.BLOCK_END_DIFFERENCE:
             raise DomainError("t applies only to the block-end-difference method")
-        if self.beta != 1:
-            # The lift is defined against the plain difference map.
-            raise DomainError("only beta = 1 is supported in recipes")
 
 
 # Least k, least n, and whether k must be odd, for each construction.
@@ -90,33 +85,34 @@ def _check_domain(method: Method, k: int, n: int, t: int | None = None) -> None:
         raise DomainError(f"block width must satisfy 1 <= t <= n/2, got {t}")
 
 
-def _candidate_codes(k: int, n: int, cap: int | None) -> np.ndarray:
-    _check_words(k, n, cap)
-    return np.arange(k**n, dtype=np.int64)
-
-
-def _end_rule_graph(k: int, n: int, cap: int | None,
+def _end_rule_graph(k: int, n: int, t: int,
                     differences: np.ndarray) -> DBSubgraph:
-    """Edges: n-tuples whose last symbol minus the first, modulo k, is one
-    of differences.
+    """Edges: n-tuples whose last t symbols minus the first t, summed
+    modulo k, is one of differences.
 
     The edges are enumerated directly, in code order: for each first
-    symbol f, every middle word followed by each allowed last symbol, the
-    last symbols sorted.  Nothing of size k**n is built, but the size cap
-    still applies to k**n.
+    block f, every middle word followed by each allowed last block, the
+    last blocks sorted.  Each sum modulo k belongs to k**(t-1) blocks, so
+    every first block allows the same number of last blocks.  Nothing of
+    size k**n is built, but the size cap still applies to k**n.
     """
-    _check_words(k, n, cap)
-    middles = np.arange(0, k ** (n - 1), k, dtype=np.int64)
-    block = middles.size * differences.size
-    edges = np.empty(k * block, dtype=np.int64)
-    for f in range(k):
-        last = np.sort((f + differences) % k) + f * k ** (n - 1)
-        np.add(middles[:, None], last,
-               out=edges[f * block:(f + 1) * block].reshape(middles.size, -1))
+    _check_words(k, n)
+    sums = np.zeros(1, dtype=np.int64)
+    for _ in range(t):
+        sums = (sums[:, None] + np.arange(k)).ravel() % k
+    by_sum = np.argsort(sums, kind="stable").reshape(k, -1)
+    middles = np.arange(0, k ** (n - t), k**t, dtype=np.int64)
+    block = middles.size * differences.size * by_sum.shape[1]
+    edges = np.empty(k**t * block, dtype=np.int64)
+    for s in range(k):
+        last = np.sort(by_sum[(s + differences) % k], axis=None)
+        for f in by_sum[s].tolist():
+            np.add(middles[:, None], last + f * k ** (n - t),
+                   out=edges[f * block:(f + 1) * block].reshape(middles.size, -1))
     return DBSubgraph(k, n - 1, edges)
 
 
-def end_difference_graph(k: int, n: int, cap: int | None = None) -> DBSubgraph:
+def end_difference_graph(k: int, n: int) -> DBSubgraph:
     """Edges: n-tuples whose last symbol exceeds the first by 1..floor((k-1)/2)
     modulo k.
 
@@ -124,28 +120,23 @@ def end_difference_graph(k: int, n: int, cap: int | None = None) -> DBSubgraph:
     n >= 3, which generate() reports rather than hides.
     """
     _check_domain(Method.END_DIFFERENCE, k, n)
-    return _end_rule_graph(k, n, cap, np.arange(1, (k - 1) // 2 + 1))
+    return _end_rule_graph(k, n, 1, np.arange(1, (k - 1) // 2 + 1))
 
 
-def odd_end_difference_graph(k: int, n: int, cap: int | None = None) -> DBSubgraph:
+def odd_end_difference_graph(k: int, n: int) -> DBSubgraph:
     """Edges: n-tuples whose last-minus-first difference is odd modulo k."""
     _check_domain(Method.ODD_END_DIFFERENCE, k, n)
-    return _end_rule_graph(k, n, cap, np.arange(1, k, 2))
+    return _end_rule_graph(k, n, 1, np.arange(1, k, 2))
 
 
-def block_end_difference_graph(k: int, n: int, t: int,
-                               cap: int | None = None) -> DBSubgraph:
+def block_end_difference_graph(k: int, n: int, t: int) -> DBSubgraph:
     """Edges: n-tuples where the last t symbols outweigh the first t by
     1..floor((k-1)/2), summed modulo k.
 
     t = 1 reduces to the plain end-difference rule.
     """
     _check_domain(Method.BLOCK_END_DIFFERENCE, k, n, t)
-    codes = _candidate_codes(k, n, cap)
-    digits = _codes_to_digits(codes, k, n)
-    diff = (digits[:, n - t:].sum(axis=1) - digits[:, :t].sum(axis=1)) % k
-    mask = (diff >= 1) & (diff <= (k - 1) // 2)
-    return DBSubgraph(k, n - 1, codes[mask])
+    return _end_rule_graph(k, n, t, np.arange(1, (k - 1) // 2 + 1))
 
 
 def lempel_map(t: ZkTuple, beta: int = 1) -> ZkTuple:
@@ -178,7 +169,7 @@ def lempel_preimages(c: ZkTuple) -> list[ZkTuple]:
     ]
 
 
-def low_pseudoweight_graph(k: int, n: int, cap: int | None = None) -> DBSubgraph:
+def low_pseudoweight_graph(k: int, n: int) -> DBSubgraph:
     """Edges: n-tuples with doubled pseudoweight below n*k.
 
     The resulting edge set is antinegasymmetric and balanced; it feeds the
@@ -186,19 +177,20 @@ def low_pseudoweight_graph(k: int, n: int, cap: int | None = None) -> DBSubgraph
     """
     at_least(k, 2, "alphabet size")
     at_least(n, 2, "window length")
-    codes = _candidate_codes(k, n, cap)
+    _check_words(k, n)
+    codes = np.arange(k**n, dtype=np.int64)
     digits = _codes_to_digits(codes, k, n)
     weights = np.where(digits == 0, k, 2 * digits).sum(axis=1)
     return DBSubgraph(k, n - 1, codes[weights < n * k])
 
 
-def lempel_lift(g: DBSubgraph, cap: int | None = None) -> DBSubgraph:
+def lempel_lift(g: DBSubgraph) -> DBSubgraph:
     """Preimage of an edge set under the difference map: k edges per edge,
     one order up."""
     k = g.k
     length = g.order + 1
     _check_code_width(k, length + 1)
-    _check_cap(k * g.edge_count, cap)
+    _check_cap(k * g.edge_count)
     digits = _codes_to_digits(g.edges, k, length)
     prefix = np.zeros((g.edge_count, length + 1), dtype=np.int64)
     np.cumsum(digits, axis=1, out=prefix[:, 1:])
@@ -210,10 +202,9 @@ def lempel_lift(g: DBSubgraph, cap: int | None = None) -> DBSubgraph:
     return DBSubgraph(k, length, lifted)
 
 
-def lifted_low_pseudoweight_graph(k: int, n: int,
-                                  cap: int | None = None) -> DBSubgraph:
+def lifted_low_pseudoweight_graph(k: int, n: int) -> DBSubgraph:
     """The low-pseudoweight edge set on n-tuples, lifted to (n+1)-tuples."""
-    return lempel_lift(low_pseudoweight_graph(k, n, cap), cap)
+    return lempel_lift(low_pseudoweight_graph(k, n))
 
 
 def _build_graph(recipe: ConstructionRecipe) -> DBSubgraph:

@@ -38,8 +38,8 @@ def edge_cap() -> int:
     return value
 
 
-def _check_cap(size: int, cap: int | None) -> None:
-    limit = edge_cap() if cap is None else cap
+def _check_cap(size: int) -> None:
+    limit = edge_cap()
     if size > limit:
         raise ResourceCapError(f"edge set of size {size} exceeds cap {limit}")
 
@@ -51,10 +51,10 @@ def _check_code_width(k: int, length: int) -> None:
             f"{k}**{length} does not fit in 64-bit edge codes")
 
 
-def _check_words(k: int, length: int, cap: int | None) -> None:
+def _check_words(k: int, length: int) -> None:
     """All k**length words fit in 64-bit codes and under the edge cap."""
     _check_code_width(k, length)
-    _check_cap(k**length, cap)
+    _check_cap(k**length)
 
 
 def tuple_to_code(symbols: Sequence[int], k: int) -> int:
@@ -143,6 +143,8 @@ class DBSubgraph:
         at_least(self.order, 1, "order")
         _check_code_width(self.k, self.order + 1)
         edges = np.asarray(self.edges, dtype=np.int64)
+        if edges.ndim != 1:
+            raise DomainError(f"edges must be 1-d, got shape {edges.shape}")
         object.__setattr__(self, "edges", edges)
         if edges.size:
             if edges[0] < 0 or edges[-1] >= self.k ** (self.order + 1):
@@ -220,22 +222,21 @@ def build_subgraph(k: int, order: int,
     return DBSubgraph(k, order, arr, duplicates_dropped=len(codes) - arr.size)
 
 
-def full_de_bruijn(k: int, order: int, cap: int | None = None) -> DBSubgraph:
+def full_de_bruijn(k: int, order: int) -> DBSubgraph:
     """Every (order+1)-tuple over Z_k as an edge."""
     at_least(k, 2, "alphabet size")
     at_least(order, 1, "order")
-    _check_words(k, order + 1, cap)
+    _check_words(k, order + 1)
     return DBSubgraph(k, order, np.arange(k ** (order + 1), dtype=np.int64))
 
 
-def palindrome_free_de_bruijn(k: int, order: int,
-                              cap: int | None = None) -> DBSubgraph:
+def palindrome_free_de_bruijn(k: int, order: int) -> DBSubgraph:
     """The full de Bruijn digraph with palindromic edges removed.
 
     This drops k**ceil((order+1)/2) edges, one per palindrome of length
     order+1.
     """
-    g = full_de_bruijn(k, order, cap)
+    g = full_de_bruijn(k, order)
     rev = _reverse_codes(g.edges, k, order + 1)
     return DBSubgraph(k, order, g.edges[g.edges != rev])
 

@@ -59,9 +59,6 @@ class OrientableSequence:
     def __len__(self) -> int:
         return self.period
 
-    def symbol_list(self) -> list[int]:
-        return [int(s) for s in self.symbols]
-
     @cached_property
     def decoder(self) -> "Decoder":
         """The window decoder that locate uses, built on first use."""

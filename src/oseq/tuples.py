@@ -65,12 +65,15 @@ def checked_word(word: "ZkTuple | Sequence[int]", k: int, length: int,
     """The symbols of a word that must have the given length over Z_k.
 
     noun ("edge", "window") names the word in the DomainError raised for
-    a mixed alphabet, a wrong length or a symbol outside Z_k.
+    a mixed alphabet, an array that is not 1-d, a wrong length or a symbol
+    outside Z_k.
     """
     if isinstance(word, ZkTuple):
         if word.k != k:
             raise DomainError(f"mixed alphabets: {word.k} vs {k}")
         symbols = word.symbols
+    elif getattr(word, "ndim", 1) != 1:
+        raise DomainError(f"{noun} must be 1-d, got shape {word.shape}")
     else:
         symbols = tuple(int(s) for s in word)
     if len(symbols) != length:
@@ -211,14 +214,13 @@ def count_tuples(kind: TupleKind, k: int, n: int) -> int:
     raise DomainError(f"unknown tuple kind: {kind!r}")
 
 
-def enumerate_count(kind: TupleKind, k: int, n: int,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def enumerate_count(kind: TupleKind, k: int, n: int) -> int:
     """Count a structural class by brute enumeration of all k**n words."""
     kind = TupleKind(kind)
     _check_counting_domain(k, n)
-    if k**n > cap:
-        raise ResourceCapError(
-            f"enumeration of {k}**{n} tuples exceeds cap {cap}")
+    if k**n > DEFAULT_ENUMERATION_CAP:
+        raise ResourceCapError(f"enumeration of {k}**{n} tuples exceeds cap "
+                               f"{DEFAULT_ENUMERATION_CAP}")
     pred = _KIND_PREDICATES[kind]
     return sum(1 for w in itertools.product(range(k), repeat=n) if pred(w))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,14 +169,37 @@ def test_end_rules_match_mask_over_all_candidates():
             if k % 2 and k >= 5:
                 odd = codes[diff % 2 == 1]
                 assert np.array_equal(odd_end_difference_graph(k, n).edges, odd)
+            if k < 5:
+                continue
+            digits = codes[:, None] // k ** np.arange(n - 1, -1, -1) % k
+            for t in range(1, n // 2 + 1):
+                diff = (digits[:, n - t:].sum(axis=1) - digits[:, :t].sum(axis=1)) % k
+                block = codes[(diff >= 1) & (diff <= (k - 1) // 2)]
+                assert np.array_equal(block_end_difference_graph(k, n, t).edges, block)
 
 
-def test_end_rules_cap_counts_all_candidates():
+def test_end_rules_cap_counts_all_candidates(monkeypatch):
     # The cap still applies to k**n, not to the edges kept.
-    for build in (end_difference_graph, odd_end_difference_graph):
-        assert build(5, 4, cap=5**4).edge_count < 5**4
+    builds = (end_difference_graph, odd_end_difference_graph,
+              lambda k, n: block_end_difference_graph(k, n, 2))
+    for build in builds:
+        monkeypatch.setenv("OSEQ_EDGE_CAP", str(5**4))
+        assert build(5, 4).edge_count < 5**4
+        monkeypatch.setenv("OSEQ_EDGE_CAP", str(5**4 - 1))
         with pytest.raises(ResourceCapError):
-            build(5, 4, cap=5**4 - 1)
+            build(5, 4)
+
+
+def test_block_end_rule_peak_is_sized_to_its_output():
+    # Nothing of size k**n: the build peaks near its edge array (k**n is
+    # 7/3 times the output at k = 7).
+    tracemalloc.start()
+    try:
+        g = block_end_difference_graph(7, 7, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * g.edges.nbytes
 
 
 @pytest.mark.parametrize("k,n", [(5, 2), (5, 3), (6, 3), (7, 2), (9, 3)])
@@ -249,8 +274,6 @@ def test_recipe_validation():
         ConstructionRecipe(Method.LEMPEL_LIFT, 3, 2)
     with pytest.raises(DomainError):
         ConstructionRecipe(Method.END_DIFFERENCE, 5, 3, t=1)
-    with pytest.raises(DomainError):
-        ConstructionRecipe(Method.LEMPEL_LIFT, 3, 3, beta=2)
 
 
 @settings(max_examples=20, deadline=None)

@@ -90,9 +90,11 @@ def test_build_subgraph_rejects_bad_symbols():
         build_subgraph(1, 2, [(0, 0, 0)])
 
 
-def test_edge_cap_enforced():
+def test_edge_cap_enforced(monkeypatch):
+    assert full_de_bruijn(10, 2).edge_count == 1000
+    monkeypatch.setenv("OSEQ_EDGE_CAP", "999")
     with pytest.raises(ResourceCapError):
-        full_de_bruijn(10, 9, cap=1000)
+        full_de_bruijn(10, 2)
 
 
 def test_antisymmetry_witness():

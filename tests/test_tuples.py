@@ -133,7 +133,7 @@ def test_count_domain_errors():
     with pytest.raises(DomainError):
         count_tuples(TupleKind.UNIFORM, 3, 0)
     with pytest.raises(ResourceCapError):
-        enumerate_count(TupleKind.UNIFORM, 10, 9, cap=10**6)
+        enumerate_count(TupleKind.UNIFORM, 10, 9)
 
 
 def test_kind_predicate_consistency():

@@ -45,7 +45,7 @@ ENTRY_POINTS = {
     "ZkTuple-k0": (lambda: ZkTuple(0, (0,)), D,
                    "alphabet size must be at least 2, got 0"),
     "ZkTuple-empty": (lambda: ZkTuple(3, ()), D, "tuple must have at least one symbol"),
-    "ZkTuple-2d": (lambda: ZkTuple(3, FLAT), TypeError, None),
+    "ZkTuple-2d": (lambda: ZkTuple(3, FLAT), D, "tuple must be 1-d, got shape (2, 2)"),
     "ZkTuple-range": (lambda: ZkTuple(3, (0, 3)), D,
                       "symbol 3 out of range for alphabet size 3"),
     "ZkTuple-negative": (lambda: ZkTuple(3, (0, -1)), D,
@@ -68,13 +68,14 @@ ENTRY_POINTS = {
         lambda: empirical_exclusion_audit(3, 1), D, WINDOW),
     "DBSubgraph-k": (lambda: DBSubgraph(1, 2, np.array([0])), D, ALPHABET),
     "DBSubgraph-order": (lambda: DBSubgraph(3, 0, np.array([0])), D, ORDER),
-    "DBSubgraph-2d": (lambda: DBSubgraph(3, 2, FLAT), ValueError, None),
+    "DBSubgraph-2d": (lambda: DBSubgraph(3, 2, FLAT), D,
+                      "edges must be 1-d, got shape (2, 2)"),
     "DBSubgraph-range": (lambda: DBSubgraph(3, 2, np.array([0, 27])), D,
                          "edge code out of range"),
     "build_subgraph-k": (lambda: build_subgraph(1, 2, [(0, 0, 0)]), D, ALPHABET),
     "build_subgraph-order": (lambda: build_subgraph(3, 0, [(0,)]), D, ORDER),
     "build_subgraph-2d": (lambda: build_subgraph(3, 2, np.zeros((2, 3, 2), int)),
-                          TypeError, None),
+                          D, "edge must be 1-d, got shape (3, 2)"),
     "build_subgraph-range": (lambda: build_subgraph(3, 2, [(0, 0, 3)]), D,
                              "symbol 3 out of range for alphabet size 3"),
     "full_de_bruijn-k": (lambda: full_de_bruijn(1, 2), D, ALPHABET),
@@ -202,3 +203,17 @@ def test_cli_exit_code_and_stderr(tmp_path, capsys, argv, code, prefix):
     assert err.startswith(prefix)
     assert (err == "") == (prefix == "")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap,message", [
+    ("abc", "error: OSEQ_EDGE_CAP must be an integer, got 'abc'\n"),
+    ("0", "error: OSEQ_EDGE_CAP must be at least 1, got 0\n"),
+    ("100", "error: edge set of size 625 exceeds cap 100\n"),
+])
+def test_cli_edge_cap_env(tmp_path, monkeypatch, capsys, cap, message):
+    monkeypatch.setenv("OSEQ_EDGE_CAP", cap)
+    out = tmp_path / "seq.txt"
+    argv = ["generate", "--method", "a", "--k", "5", "--n", "4", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
