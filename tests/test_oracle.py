@@ -12,6 +12,7 @@ from oseq.graph import window_codes, window_ids
 from oseq.oracle import (
     Direction,
     MutationRecord,
+    SearchOutcome,
     VerifyResult,
     _stable_sort,
     exhaustive_max_period,
@@ -163,6 +164,184 @@ def test_exhaustive_no_binary_sequence_at_window_four():
     outcome = exhaustive_max_period(2, 4)
     assert outcome.exact
     assert outcome.period == 0
+
+
+# The full SearchOutcome of exhaustive_max_period, keyed by (k, n,
+# node_budget) and recorded from the recursive search: every cell with
+# k**n <= 256 at budgets 0, 1, 37 and 1,000, and, at the default budget
+# (None), every cell that finishes exactly within 10**6 nodes.  Values
+# are (period, witness, exact, nodes_expanded), the witness one hex digit
+# per symbol.  The search order fixes the witness and the node count, so
+# a changed entry is a changed answer.
+SEARCH_PINS = {
+    (2, 2, 0): (0, None, True, 0),
+    (2, 2, 1): (0, None, True, 0),
+    (2, 2, 37): (0, None, True, 0),
+    (2, 2, 1000): (0, None, True, 0),
+    (2, 3, 0): (0, None, True, 0),
+    (2, 3, 1): (0, None, True, 0),
+    (2, 3, 37): (0, None, True, 0),
+    (2, 3, 1000): (0, None, True, 0),
+    (2, 4, 0): (0, None, False, 0),
+    (2, 4, 1): (0, None, False, 1),
+    (2, 4, 37): (0, None, True, 12),
+    (2, 4, 1000): (0, None, True, 12),
+    (2, 5, 0): (0, None, False, 0),
+    (2, 5, 1): (0, None, False, 1),
+    (2, 5, 37): (0, None, False, 37),
+    (2, 5, 1000): (6, "001011", True, 74),
+    (2, 6, 0): (0, None, False, 0),
+    (2, 6, 1): (0, None, False, 1),
+    (2, 6, 37): (0, None, False, 37),
+    (2, 6, 1000): (0, None, False, 1000),
+    (2, 7, 0): (0, None, False, 0),
+    (2, 7, 1): (0, None, False, 1),
+    (2, 7, 37): (0, None, False, 37),
+    (2, 7, 1000): (0, None, False, 1000),
+    (2, 8, 0): (0, None, False, 0),
+    (2, 8, 1): (0, None, False, 1),
+    (2, 8, 37): (0, None, False, 37),
+    (2, 8, 1000): (0, None, False, 1000),
+    (3, 2, 0): (0, None, False, 0),
+    (3, 2, 1): (0, None, False, 1),
+    (3, 2, 37): (3, "012", True, 2),
+    (3, 2, 1000): (3, "012", True, 2),
+    (3, 3, 0): (0, None, False, 0),
+    (3, 3, 1): (0, None, False, 1),
+    (3, 3, 37): (9, "001120122", True, 9),
+    (3, 3, 1000): (9, "001120122", True, 9),
+    (3, 4, 0): (0, None, False, 0),
+    (3, 4, 1): (0, None, False, 1),
+    (3, 4, 37): (22, "0001011120011210202122", False, 37),
+    (3, 4, 1000): (26, "00010111200120112102021222", False, 1000),
+    (3, 5, 0): (0, None, False, 0),
+    (3, 5, 1): (0, None, False, 1),
+    (3, 5, 37): (31, "0000101100020100111120011201012", False, 37),
+    (3, 5, 1000): (83,
+        "0000101100020100111120011201012002021002201112101121201122012012"
+        "1220201221120222212", False, 1000),
+    (4, 2, 0): (0, None, False, 0),
+    (4, 2, 1): (0, None, False, 1),
+    (4, 2, 37): (4, "0123", True, 7),
+    (4, 2, 1000): (4, "0123", True, 7),
+    (4, 3, 0): (0, None, False, 0),
+    (4, 3, 1): (0, None, False, 1),
+    (4, 3, 37): (5, "00112", False, 37),
+    (4, 3, 1000): (5, "00112", False, 1000),
+    (4, 4, 0): (0, None, False, 0),
+    (4, 4, 1): (0, None, False, 1),
+    (4, 4, 37): (9, "000101112", False, 37),
+    (4, 4, 1000): (9, "000101112", False, 1000),
+    (5, 2, 0): (0, None, False, 0),
+    (5, 2, 1): (0, None, False, 1),
+    (5, 2, 37): (10, "0120314234", True, 10),
+    (5, 2, 1000): (10, "0120314234", True, 10),
+    (5, 3, 0): (0, None, False, 0),
+    (5, 3, 1): (0, None, False, 1),
+    (5, 3, 37): (22, "0011200310221032033114", False, 37),
+    (5, 3, 1000): (50,
+        "00112003102210320331140142042132143043144223342344", True, 52),
+    (6, 2, 0): (0, None, False, 0),
+    (6, 2, 1): (0, None, False, 1),
+    (6, 2, 37): (7, "0120314", False, 37),
+    (6, 2, 1000): (12, "012031425345", True, 130),
+    (6, 3, 0): (0, None, False, 0),
+    (6, 3, 1): (0, None, False, 1),
+    (6, 3, 37): (22, "0011200310221032033114", False, 37),
+    (6, 3, 1000): (22, "0011200310221032033114", False, 1000),
+    (7, 2, 0): (0, None, False, 0),
+    (7, 2, 1): (0, None, False, 1),
+    (7, 2, 37): (21, "012031405162342536456", True, 22),
+    (7, 2, 1000): (21, "012031405162342536456", True, 22),
+    (8, 2, 0): (0, None, False, 0),
+    (8, 2, 1): (0, None, False, 1),
+    (8, 2, 37): (11, "01203140516", False, 37),
+    (8, 2, 1000): (11, "01203140516", False, 1000),
+    (9, 2, 0): (0, None, False, 0),
+    (9, 2, 1): (0, None, False, 1),
+    (9, 2, 37): (33, "012031405160718234253627384564758", False, 37),
+    (9, 2, 1000): (36, "012031405160718234253627384564758678", True, 38),
+    (10, 2, 0): (0, None, False, 0),
+    (10, 2, 1): (0, None, False, 1),
+    (10, 2, 37): (15, "012031405160718", False, 37),
+    (10, 2, 1000): (15, "012031405160718", False, 1000),
+    (11, 2, 0): (0, None, False, 0),
+    (11, 2, 1): (0, None, False, 1),
+    (11, 2, 37): (34, "012031405160718091a23425362738293a", False, 37),
+    (11, 2, 1000): (55,
+        "012031405160718091a23425362738293a4564758495a678697a89a", True, 58),
+    (12, 2, 0): (0, None, False, 0),
+    (12, 2, 1): (0, None, False, 1),
+    (12, 2, 37): (19, "012031405160718091a", False, 37),
+    (12, 2, 1000): (19, "012031405160718091a", False, 1000),
+    (13, 2, 0): (0, None, False, 0),
+    (13, 2, 1): (0, None, False, 1),
+    (13, 2, 37): (23, "012031405160718091a0b1c", False, 37),
+    (13, 2, 1000): (78,
+        "012031405160718091a0b1c23425362738293a2b3c4564758495a4b5c678697a"
+        "6b7c89a8b9cabc", True, 82),
+    (14, 2, 0): (0, None, False, 0),
+    (14, 2, 1): (0, None, False, 1),
+    (14, 2, 37): (23, "012031405160718091a0b1c", False, 37),
+    (14, 2, 1000): (23, "012031405160718091a0b1c", False, 1000),
+    (15, 2, 0): (0, None, False, 0),
+    (15, 2, 1): (0, None, False, 1),
+    (15, 2, 37): (27, "012031405160718091a0b1c0d1e", False, 37),
+    (15, 2, 1000): (105,
+        "012031405160718091a0b1c0d1e23425362738293a2b3c2d3e4564758495a4b5"
+        "c4d5e678697a6b7c6d7e89a8b9c8d9eabcadbecde", True, 110),
+    (16, 2, 0): (0, None, False, 0),
+    (16, 2, 1): (0, None, False, 1),
+    (16, 2, 37): (27, "012031405160718091a0b1c0d1e", False, 37),
+    (16, 2, 1000): (27, "012031405160718091a0b1c0d1e", False, 1000),
+    (2, 2, None): (0, None, True, 0),
+    (2, 3, None): (0, None, True, 0),
+    (2, 4, None): (0, None, True, 12),
+    (2, 5, None): (6, "001011", True, 74),
+    (2, 6, None): (16, "0001010110010111", True, 2120),
+    (2, 7, None): (36, "000010010101100010110111001011110011", True, 766397),
+    (3, 2, None): (3, "012", True, 2),
+    (3, 3, None): (9, "001120122", True, 9),
+    (3, 4, None): (30, "000102001201112022101121022212", True, 308058),
+    (4, 2, None): (4, "0123", True, 7),
+    (4, 3, None): (20, "00112012230130231233", True, 11776),
+    (5, 2, None): (10, "0120314234", True, 10),
+    (5, 3, None): (50,
+        "00112003102210320331140142042132143043144223342344", True, 52),
+    (6, 2, None): (12, "012031425345", True, 130),
+    (7, 2, None): (21, "012031405162342536456", True, 22),
+    (8, 2, None): (24, "012031405162345273647567", True, 696583),
+    (9, 2, None): (36, "012031405160718234253627384564758678", True, 38),
+    (11, 2, None): (55,
+        "012031405160718091a23425362738293a4564758495a678697a89a", True, 58),
+    (13, 2, None): (78,
+        "012031405160718091a0b1c23425362738293a2b3c4564758495a4b5c678697a"
+        "6b7c89a8b9cabc", True, 82),
+    (15, 2, None): (105,
+        "012031405160718091a0b1c0d1e23425362738293a2b3c2d3e4564758495a4b5"
+        "c4d5e678697a6b7c6d7e89a8b9c8d9eabcadbecde", True, 110),
+}
+
+SEARCH_CELLS = [(k, n) for k in range(2, 17) for n in range(2, 9) if k**n <= 256]
+
+
+def test_search_pins_cover_every_cell():
+    assert len(SEARCH_CELLS) == 28
+    for budget in (0, 1, 37, 1000):
+        assert [(k, n) for k, n, b in SEARCH_PINS if b == budget] == SEARCH_CELLS
+    assert {(2, 7), (3, 4), (4, 3), (8, 2)} <= {
+        (k, n) for k, n, b in SEARCH_PINS if b is None}
+
+
+@pytest.mark.parametrize("cell", list(SEARCH_PINS), ids=str)
+def test_exhaustive_outcome_is_pinned(cell):
+    k, n, budget = cell
+    period, witness, exact, nodes = SEARCH_PINS[cell]
+    if witness is not None:
+        witness = tuple(int(c, 16) for c in witness)
+    outcome = (exhaustive_max_period(k, n) if budget is None
+               else exhaustive_max_period(k, n, node_budget=budget))
+    assert outcome == SearchOutcome(k, n, period, witness, exact, nodes)
 
 
 def test_rotation_and_reversal_invariance():
