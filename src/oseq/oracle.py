@@ -266,6 +266,10 @@ class SearchOutcome:
     nodes_expanded: int
 
 
+class _StopSearch(Exception):
+    """Unwinds the exhaustive search on its bound or its node budget."""
+
+
 def exhaustive_max_period(k: int, n: int,
                           node_budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
     """Longest orientable period by depth-first search over edge trails.
@@ -275,6 +279,11 @@ def exhaustive_max_period(k: int, n: int,
     and never use a window together with its reversal.  Rotation is
     quotiented out by forcing the smallest used window first, and
     reflection by only starting from windows below their own reversal.
+    Bit d of vertex v's mask is set while edge v*k + d is above the start
+    edge, no palindrome, and off the trail with its reversal.  A frame
+    reads its mask once, on entry, kept exact by restoring every mask
+    before a frame resumes, and takes edges lowest bit first: the order
+    behind the witness and node count that tests/test_oracle.py pins.
     """
     at_least(k, 2, "alphabet size")
     at_least(n, 2, "window length")
@@ -286,62 +295,52 @@ def exhaustive_max_period(k: int, n: int,
     vbase = k ** (n - 1)
     rev = _reverse_codes(np.arange(total), k, n).tolist()
     bound = period_upper_bound(k, n)
-    best = 0
-    best_walk: list[int] | None = None
-    used = bytearray(total)
-    walk: list[int] = []
-    nodes = 0
-    budget_hit = False
+    # Per edge: itself, the vertex and bit of its reversal, and its head.
+    edges = [(e, r // k, 1 << r % k, e % vbase) for e, r in enumerate(rev)]
+    avail = [sum(1 << d for d in range(k) if rev[v * k + d] != v * k + d)
+             for v in range(vbase)]
+    walk = [0] * total
+    best, best_walk, nodes, start_v, stopped = 0, None, 0, 0, False
 
-    def dfs(v: int, start_v: int, floor: int) -> bool:
-        """Extend the trail from vertex v; returns True to abandon search."""
-        nonlocal best, best_walk, nodes, budget_hit
-        if v == start_v and len(walk) > best:
-            best = len(walk)
-            best_walk = walk.copy()
+    def dfs(v: int, depth: int) -> None:
+        nonlocal best, best_walk, nodes
+        if v == start_v and depth > best:
+            best, best_walk = depth, walk[:depth]
             if best >= bound:
-                return True
-        base = v * k
-        for d in range(k):
-            e = base + d
-            if e <= floor:
-                continue
-            r = rev[e]
-            if r == e or used[e] or used[r]:
-                continue
+                raise _StopSearch
+        mask = rest = avail[v]
+        base = v * k - 1
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
             if nodes >= node_budget:
-                budget_hit = True
-                return True
+                raise _StopSearch
             nodes += 1
-            used[e] = 1
-            walk.append(e)
-            stop = dfs(e % vbase, start_v, floor)
-            walk.pop()
-            used[e] = 0
-            if stop:
-                return True
-        return False
+            e, rv, rbit, head = edges[base + bit.bit_length()]
+            avail[v] = mask ^ bit
+            saved = avail[rv]
+            avail[rv] = saved & ~rbit
+            walk[depth] = e
+            dfs(head, depth + 1)
+            avail[rv] = saved
+            avail[v] = mask
 
-    for f in range(total):
-        if best >= bound:
-            break
-        if rev[f] <= f:
-            # Palindromes can never be used; reflections are covered by
-            # the start whose code is smaller.
-            continue
-        used[f] = 1
-        walk.append(f)
-        stopped = dfs(f % vbase, f // k, f)
-        walk.pop()
-        used[f] = 0
-        if stopped and budget_hit:
-            break
-    exact = best >= bound or not budget_hit
-    witness = None
-    if best_walk:
-        witness = tuple(e // vbase for e in best_walk)
-    return SearchOutcome(k=k, n=n, period=best, witness=witness,
-                         exact=exact, nodes_expanded=nodes)
+    try:
+        for f in range(total):
+            if best >= bound:
+                break
+            avail[f // k] &= ~(1 << f % k)  # f is no longer above the start
+            if rev[f] > f:  # not a palindrome, nor a mirror of a smaller start
+                _, rv, rbit, head = edges[f]
+                avail[rv] ^= rbit
+                walk[0], start_v = f, f // k
+                dfs(head, 1)
+                avail[rv] ^= rbit
+    except _StopSearch:
+        stopped = True
+    witness = tuple(e // vbase for e in best_walk) if best_walk else None
+    return SearchOutcome(k, n, best, witness, exact=best >= bound or not stopped,
+                         nodes_expanded=nodes)
 
 
 @dataclass(frozen=True)

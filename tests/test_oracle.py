@@ -7,8 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oseq.constructions import ConstructionRecipe, Method, generate
+from oseq.bounds import period_upper_bound
 from oseq.errors import DomainError, ResourceCapError
-from oseq.graph import window_codes, window_ids
+from oseq.graph import _reverse_codes, window_codes, window_ids
 from oseq.oracle import (
     Direction,
     MutationRecord,
@@ -342,6 +343,78 @@ def test_exhaustive_outcome_is_pinned(cell):
     outcome = (exhaustive_max_period(k, n) if budget is None
                else exhaustive_max_period(k, n, node_budget=budget))
     assert outcome == SearchOutcome(k, n, period, witness, exact, nodes)
+
+
+def _reference_max_period(k, n, node_budget):
+    """The recursive search that exhaustive_max_period replaced: it tests
+    every candidate edge of a vertex against the start edge, palindromes
+    and the used set, and unwinds by returning True."""
+    total, vbase = k**n, k ** (n - 1)
+    rev = _reverse_codes(np.arange(total), k, n).tolist()
+    bound = period_upper_bound(k, n)
+    best = 0
+    best_walk = None
+    used = bytearray(total)
+    walk = []
+    nodes = 0
+    budget_hit = False
+
+    def dfs(v, start_v, floor):
+        nonlocal best, best_walk, nodes, budget_hit
+        if v == start_v and len(walk) > best:
+            best = len(walk)
+            best_walk = walk.copy()
+            if best >= bound:
+                return True
+        base = v * k
+        for d in range(k):
+            e = base + d
+            if e <= floor:
+                continue
+            r = rev[e]
+            if r == e or used[e] or used[r]:
+                continue
+            if nodes >= node_budget:
+                budget_hit = True
+                return True
+            nodes += 1
+            used[e] = 1
+            walk.append(e)
+            stop = dfs(e % vbase, start_v, floor)
+            walk.pop()
+            used[e] = 0
+            if stop:
+                return True
+        return False
+
+    for f in range(total):
+        if best >= bound:
+            break
+        if rev[f] <= f:
+            continue
+        used[f] = 1
+        walk.append(f)
+        stopped = dfs(f % vbase, f // k, f)
+        walk.pop()
+        used[f] = 0
+        if stopped and budget_hit:
+            break
+    witness = tuple(e // vbase for e in best_walk) if best_walk else None
+    return SearchOutcome(k=k, n=n, period=best, witness=witness,
+                         exact=best >= bound or not budget_hit,
+                         nodes_expanded=nodes)
+
+
+@pytest.mark.parametrize("cell", SEARCH_CELLS, ids=str)
+def test_exhaustive_matches_reference_search(cell):
+    # Seeded budgets stop the search in mid-subtree; on the cells that
+    # reach their bound or finish within 5,000 nodes they also cover the
+    # bound stop and a complete search.
+    k, n = cell
+    rng = random.Random(100 * k + n)
+    for budget in [5000] + [rng.randrange(5000) for _ in range(2)]:
+        want = _reference_max_period(k, n, budget)
+        assert exhaustive_max_period(k, n, node_budget=budget) == want
 
 
 def test_rotation_and_reversal_invariance():
