@@ -94,9 +94,10 @@ def _end_rule_graph(k: int, n: int, t: int,
     block f, every middle word followed by each allowed last block, the
     last blocks sorted.  Each sum modulo k belongs to k**(t-1) blocks, so
     every first block allows the same number of last blocks.  Nothing of
-    size k**n is built, but the size cap still applies to k**n.
+    size k**n is built, and the cap applies to the edges returned.
     """
-    _check_words(k, n)
+    _check_code_width(k, n)
+    _check_cap(differences.size * k ** (n - 1))
     sums = np.zeros(1, dtype=np.int64)
     for _ in range(t):
         sums = (sums[:, None] + np.arange(k)).ravel() % k

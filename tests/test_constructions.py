@@ -178,15 +178,16 @@ def test_end_rules_match_mask_over_all_candidates():
                 assert np.array_equal(block_end_difference_graph(k, n, t).edges, block)
 
 
-def test_end_rules_cap_counts_all_candidates(monkeypatch):
-    # The cap still applies to k**n, not to the edges kept.
+def test_end_rules_cap_counts_the_edges_built(monkeypatch):
+    # Each rule keeps 2 of the 5 last symbols (or blocks) at (5,4): a cap
+    # of 250 edges admits the graph and 249 refuses it, whatever k**n is.
     builds = (end_difference_graph, odd_end_difference_graph,
               lambda k, n: block_end_difference_graph(k, n, 2))
     for build in builds:
-        monkeypatch.setenv("OSEQ_EDGE_CAP", str(5**4))
-        assert build(5, 4).edge_count < 5**4
-        monkeypatch.setenv("OSEQ_EDGE_CAP", str(5**4 - 1))
-        with pytest.raises(ResourceCapError):
+        monkeypatch.setenv("OSEQ_EDGE_CAP", "250")
+        assert build(5, 4).edge_count == 250
+        monkeypatch.setenv("OSEQ_EDGE_CAP", "249")
+        with pytest.raises(ResourceCapError, match="^edge set of size 250 exceeds cap 249$"):
             build(5, 4)
 
 

@@ -208,7 +208,7 @@ def test_cli_exit_code_and_stderr(tmp_path, capsys, argv, code, prefix):
 @pytest.mark.parametrize("cap,message", [
     ("abc", "error: OSEQ_EDGE_CAP must be an integer, got 'abc'\n"),
     ("0", "error: OSEQ_EDGE_CAP must be at least 1, got 0\n"),
-    ("100", "error: edge set of size 625 exceeds cap 100\n"),
+    ("100", "error: edge set of size 250 exceeds cap 100\n"),
 ])
 def test_cli_edge_cap_env(tmp_path, monkeypatch, capsys, cap, message):
     monkeypatch.setenv("OSEQ_EDGE_CAP", cap)
