@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oseq.constructions import ConstructionRecipe, Method, generate
 from oseq.bounds import period_upper_bound
+from oseq.constructions import ConstructionRecipe, Method, generate
 from oseq.errors import DomainError, ResourceCapError
 from oseq.graph import _reverse_codes, window_codes, window_ids
 from oseq.oracle import (
