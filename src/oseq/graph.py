@@ -694,10 +694,13 @@ def _dense_ranks(values: np.ndarray, index: type) -> tuple[np.ndarray, int]:
 
 
 def checked_symbols(symbols: np.ndarray | Sequence[int], k: int) -> np.ndarray:
-    """One period as an array, which must be nonempty, 1-d and over Z_k."""
+    """One period as an array, which must be nonempty, 1-d, of integer or
+    bool dtype (floats are refused even with whole values) and over Z_k."""
     s = np.asarray(symbols)
     if s.ndim != 1 or s.size == 0:
         raise DomainError("sequence must be a nonempty 1-d array of symbols")
+    if s.dtype.kind not in "biu":
+        raise DomainError("symbols must be integers")
     if int(s.min()) < 0 or int(s.max()) >= k:
         raise DomainError(f"symbol out of range for alphabet size {k}")
     return s

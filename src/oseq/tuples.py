@@ -8,6 +8,7 @@ keeps everything in exact integer arithmetic even when k is odd.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -65,8 +66,9 @@ def checked_word(word: "ZkTuple | Sequence[int]", k: int, length: int,
     """The symbols of a word that must have the given length over Z_k.
 
     noun ("edge", "window") names the word in the DomainError raised for
-    a mixed alphabet, an array that is not 1-d, a wrong length or a symbol
-    outside Z_k.
+    a mixed alphabet, an array that is not 1-d, a symbol that is not an
+    integer (a float is refused even with a whole value), a wrong length
+    or a symbol outside Z_k.
     """
     if isinstance(word, ZkTuple):
         if word.k != k:
@@ -75,7 +77,10 @@ def checked_word(word: "ZkTuple | Sequence[int]", k: int, length: int,
     elif getattr(word, "ndim", 1) != 1:
         raise DomainError(f"{noun} must be 1-d, got shape {word.shape}")
     else:
-        symbols = tuple(int(s) for s in word)
+        try:
+            symbols = tuple(map(operator.index, word))
+        except TypeError as exc:
+            raise DomainError(f"{noun} symbols must be integers") from exc
     if len(symbols) != length:
         raise DomainError(f"{noun} must have {length} symbols, got {len(symbols)}")
     for s in symbols:

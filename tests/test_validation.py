@@ -1,8 +1,9 @@
 """Input checks of every public entry point, and of the CLI on bad input.
 
 Each row feeds one entry point a bad alphabet size, a bad window length
-or order, an empty array, a 2-d array or a symbol outside Z_k, and pins
-the exception type and, where given, the message.
+or order, an empty array, a 2-d array, a symbol outside Z_k or a symbol
+that is not an integer, and pins the exception type and, where given,
+the message.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from oseq.graph import (
     edge_graph_of_sequence,
     full_de_bruijn,
 )
-from oseq.oracle import exhaustive_max_period, verify
+from oseq.oracle import exhaustive_max_period, locate, verify
 from oseq.sequences import OrientableSequence
 from oseq.tables import compute_table
 from oseq.tuples import (
@@ -36,6 +37,7 @@ TUPLE = "tuple length must be at least 1, got 0"
 ORDER = "order must be at least 1, got 0"
 RANGE = "symbol out of range for alphabet size 3"
 SHAPE = "sequence must be a nonempty 1-d array of symbols"
+INTEGERS = "symbols must be integers"
 FLAT = np.array([[0, 1], [1, 2]])
 D = DomainError
 
@@ -50,6 +52,7 @@ ENTRY_POINTS = {
                       "symbol 3 out of range for alphabet size 3"),
     "ZkTuple-negative": (lambda: ZkTuple(3, (0, -1)), D,
                          "symbol -1 out of range for alphabet size 3"),
+    "ZkTuple-float": (lambda: ZkTuple(3, (2.9, 1)), D, "tuple " + INTEGERS),
     "count_tuples-k": (lambda: count_tuples(SYM, 1, 3), D, ALPHABET),
     "count_tuples-n": (lambda: count_tuples(SYM, 3, 0), D, TUPLE),
     "enumerate_count-k": (lambda: enumerate_count(SYM, 1, 3), D, ALPHABET),
@@ -78,6 +81,8 @@ ENTRY_POINTS = {
                           D, "edge must be 1-d, got shape (3, 2)"),
     "build_subgraph-range": (lambda: build_subgraph(3, 2, [(0, 0, 3)]), D,
                              "symbol 3 out of range for alphabet size 3"),
+    "DBSubgraph-contains-float": (lambda: (0.7, 1) in full_de_bruijn(3, 1), D,
+                                  "edge " + INTEGERS),
     "full_de_bruijn-k": (lambda: full_de_bruijn(1, 2), D, ALPHABET),
     "full_de_bruijn-order": (lambda: full_de_bruijn(3, 0), D, ORDER),
     "edge_graph_of_sequence-k": (lambda: edge_graph_of_sequence([0, 0, 0], 2, 1),
@@ -96,6 +101,9 @@ ENTRY_POINTS = {
     "verify-2d": (lambda: verify(FLAT, 2, 3), D, SHAPE),
     "verify-range": (lambda: verify([0, 1, 3], 2, 3), D, RANGE),
     "verify-negative": (lambda: verify([0, -1, 2], 2, 3), D, RANGE),
+    "verify-float": (lambda: verify(np.array([0, 1, 2.5]), 2, 3), D, INTEGERS),
+    "verify-strings": (lambda: verify(["0", "1", "2", "1"], 2, 3), D, INTEGERS),
+    "verify-nan": (lambda: verify(np.array([0, 1, np.nan]), 2, 3), D, INTEGERS),
     "exhaustive_max_period-k": (lambda: exhaustive_max_period(1, 3), D, ALPHABET),
     "exhaustive_max_period-n": (lambda: exhaustive_max_period(3, 1), D, WINDOW),
     "OrientableSequence-k": (lambda: OrientableSequence(1, 2, 3, np.zeros(3, int)),
@@ -109,6 +117,10 @@ ENTRY_POINTS = {
         lambda: OrientableSequence(3, 2, 3, np.array([0, 1, 3])), D, RANGE),
     "OrientableSequence-period": (lambda: OrientableSequence(3, 2, 4, np.arange(3)), D,
                                   "period 4 does not match 3 symbols"),
+    "OrientableSequence-float": (lambda: OrientableSequence(3, 2, 3, [0, 1, 2.5]), D,
+                                 INTEGERS),
+    "locate-float": (lambda: locate(OrientableSequence(3, 3, 3, np.arange(3)),
+                                    [0.5, 1, 2]), D, "window " + INTEGERS),
     "low_pseudoweight_graph-k": (lambda: low_pseudoweight_graph(1, 3), D, ALPHABET),
     "low_pseudoweight_graph-n": (lambda: low_pseudoweight_graph(3, 1), D, WINDOW),
     "compute_table-k": (lambda: compute_table("bounds", 1, 3), D,
@@ -217,3 +229,4 @@ def test_cli_edge_cap_env(tmp_path, monkeypatch, capsys, cap, message):
     assert main(argv) == 1
     assert capsys.readouterr().err == message
     assert not out.exists()
+
