@@ -20,7 +20,7 @@ from .sequences import (
     read_sequence_file,
     write_sequence_file,
 )
-from .tables import _TABLES, DEFAULT_CELL_CAP, TABLE_NAMES, compute_table
+from .tables import DEFAULT_CELL_CAP, TABLE_NAMES, compute_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,10 +140,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    _, (default_k, default_n), *_ = _TABLES[args.which]
-    max_k = args.max_k if args.max_k is not None else default_k
-    max_n = args.max_n if args.max_n is not None else default_n
-    result = compute_table(args.which, max_k, max_n,
+    result = compute_table(args.which, args.max_k, args.max_n,
                            cell_cap=args.cell_cap, workers=args.workers)
     sys.stdout.write(result.to_json() + "\n" if args.json else result.text())
     if result.mismatches():

@@ -626,15 +626,16 @@ def circuit_to_sequence(c: EulerianCircuit) -> np.ndarray:
 
 def window_codes(symbols: np.ndarray | Sequence[int], n: int, k: int,
                  reverse: bool = False) -> np.ndarray:
-    """Base-k codes of all cyclic length-n windows of one period.
+    """Base-k codes of all cyclic length-n windows of one period, as
+    int32 while k**n < 2**31 and int64 above.
 
     With reverse=True, the window starting at i is read leftwards
     from position i + n - 1 down to i, i.e. it is the reversal of the
     forward window at i.
     """
     _check_code_width(k, n)
-    windows = _cyclic_windows(symbols, n)
-    return _digits_to_codes(windows[:, ::-1] if reverse else windows, k)
+    windows = _cyclic_windows(symbols, n)[:, ::-1 if reverse else 1]
+    return _digits_to_codes(windows, k, _index_dtype(k**n))
 
 
 def window_ids(symbols: np.ndarray | Sequence[int], n: int,
@@ -643,28 +644,23 @@ def window_ids(symbols: np.ndarray | Sequence[int], n: int,
 
     Two windows, forward or reversed, get equal ids exactly when they
     are equal.  The ids are the codes of window_codes when k**n fits in
-    64 bits, as int32 while k**n < 2**31.  Otherwise, for k < 2**63, they
-    are dense ranks among all 2m windows, found by prefix doubling
-    (Manber & Myers, SIAM J. Comput. 1993) in O(m log n): the reversed
-    window at i is the forward window at (m - i - n) mod m of the
-    reversed period, and each round ranks the words of length h + step
-    of both cyclic strings from the ranks of their first and last h
-    symbols, in one sort, until h reaches n or all 2m words differ.
+    64 bits.  Otherwise, for k < 2**63, they are dense ranks among all 2m
+    windows, found by prefix doubling (Manber & Myers, SIAM J. Comput.
+    1993) in O(m log n): the reversed window at i is the forward window
+    at (m - i - n) mod m of the reversed period, and each round ranks the
+    words of length h + step of both cyclic strings from the ranks of
+    their first and last h symbols, in one sort, until h reaches n or all
+    2m words differ.
     """
     if n < 64 and k**n <= _INT64_MAX:
-        windows = _cyclic_windows(symbols, n)
-        dtype = _index_dtype(k**n)
-        return (_digits_to_codes(windows, k, dtype),
-                _digits_to_codes(windows[:, ::-1], k, dtype))
-    _check_code_width(k, 1)
+        return window_codes(symbols, n, k), window_codes(symbols, n, k, reverse=True)
     s = np.asarray(symbols)
     m = s.size
     index = _index_dtype(2 * m)
     h = 1
     while h < n and k ** (h + 1) < 2**31:
         h += 1
-    ranks = np.concatenate([_digits_to_codes(_cyclic_windows(t, h), k)
-                            for t in (s, s[::-1])])
+    ranks = np.concatenate([window_codes(t, h, k) for t in (s, s[::-1])])
     count = k**h
     if count >= 2**31:
         # h is 1: rank the symbols, so that a pair of ranks fits in 64 bits.

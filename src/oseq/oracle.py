@@ -17,12 +17,10 @@ import numpy as np
 from .bounds import period_upper_bound
 from .errors import DomainError, ResourceCapError
 from .graph import (
-    _check_code_width,
-    _cyclic_windows,
-    _digits_to_codes,
     _index_dtype,
     _reverse_codes,
     checked_symbols,
+    window_codes,
     window_ids,
 )
 from .sequences import OrientableSequence
@@ -190,9 +188,7 @@ class Decoder:
 
     def __init__(self, seq: OrientableSequence):
         self.k, self.n = seq.k, seq.n
-        _check_code_width(seq.k, seq.n)
-        dtype = _index_dtype(seq.k**seq.n)
-        self._ids = _digits_to_codes(_cyclic_windows(seq.symbols, seq.n), seq.k, dtype)
+        self._ids = window_codes(seq.symbols, seq.n, seq.k)
         self._positions = _stable_sort(self._ids)
         self._ids.flags.writeable = False
         self._positions.flags.writeable = False
@@ -217,10 +213,8 @@ class Decoder:
         w = np.asarray(windows)
         if w.ndim != 2 or w.shape[1] != self.n:
             raise DomainError(f"windows must be a q x {self.n} matrix of symbols")
-        if w.dtype.kind not in "iu":
-            raise DomainError("window symbols must be integers")
-        if w.size and (int(w.min()) < 0 or int(w.max()) >= self.k):
-            raise DomainError(f"symbol out of range for alphabet size {self.k}")
+        if w.size:
+            checked_symbols(w.ravel(), self.k)
         # One matrix product gives both directions' codes: queries come a
         # few rows at a time, so Horner's loop over columns would cost more
         # in call overhead than the lookups.  The codes take the table's

@@ -140,10 +140,11 @@ def _compute_cell(which: str, n: int, k: int, cell_cap: int) -> TableCell | None
                      "computed", _status(value, golden))
 
 
-def compute_table(which: str, max_k: int, max_n: int,
+def compute_table(which: str, max_k: int | None = None, max_n: int | None = None,
                   cell_cap: int = DEFAULT_CELL_CAP,
                   workers: int = 1) -> TableResult:
-    """Fill one table over n rows and k columns up to the given maxima.
+    """Fill one table over n rows and k columns up to the given maxima,
+    by default the full extent of its bundled golden data.
 
     Cells whose construction would exceed cell_cap edges are marked
     skipped.  With workers > 1 the independent cells run in a process
@@ -152,9 +153,11 @@ def compute_table(which: str, max_k: int, max_n: int,
     """
     if which not in TABLE_NAMES:
         raise DomainError(f"table must be one of {TABLE_NAMES}, got {which!r}")
+    (least_k, least_n), (default_k, default_n), *_ = _TABLES[which]
+    max_k = default_k if max_k is None else max_k
+    max_n = default_n if max_n is None else max_n
     at_least(max_k, 2, "max_k")
     at_least(max_n, 2, "max_n")
-    (least_k, least_n), *_ = _TABLES[which]
     grid = [(n, k) for n in range(least_n, max_n + 1)
             for k in range(least_k, max_k + 1)]
     workers = min(workers, len(grid), os.cpu_count() or 1)

@@ -668,8 +668,19 @@ def reference_window_codes(symbols, n, k, reverse):
 def test_window_codes_match_reference(case):
     k, n, symbols, dtype, reverse = case
     got = window_codes(np.asarray(symbols, dtype=dtype), n, k, reverse=reverse)
-    assert got.dtype == np.int64
+    assert got.dtype == np.int32  # k**n <= 6**7 < 2**31
     assert got.tolist() == reference_window_codes(symbols, n, k, reverse)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_window_codes_widen_to_int64_from_2_to_the_31(reverse):
+    rng = np.random.default_rng(12)
+    symbols = rng.integers(0, 7, 40).astype(np.uint8)
+    assert 2**31 <= 7**12 < 2**63
+    got = window_codes(symbols, 12, 7, reverse=reverse)
+    assert got.dtype == np.int64
+    assert got.tolist() == reference_window_codes(symbols, 12, 7, reverse)
+    assert window_codes(symbols, 11, 7).dtype == np.int32  # 7**11 < 2**31
 
 
 @settings(max_examples=200, deadline=None)

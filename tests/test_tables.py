@@ -26,6 +26,10 @@ def test_bounds_table_no_mismatch():
     assert result.skipped() == ()
 
 
+def test_table_extent_defaults_to_the_bundled_data():
+    assert compute_table("bounds") == compute_table("bounds", 8, 9)
+
+
 def test_period_tables_small_ranges():
     a = compute_table("a-periods", 6, 3)
     assert a.mismatches() == ()
