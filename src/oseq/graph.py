@@ -47,8 +47,7 @@ def _check_cap(size: int) -> None:
 def _check_code_width(k: int, length: int) -> None:
     # k >= 2: from length 64 on, skip computing the huge power.
     if length >= 64 or k**length > _INT64_MAX:
-        raise ResourceCapError(
-            f"{k}**{length} does not fit in 64-bit edge codes")
+        raise ResourceCapError(f"{k}**{length} does not fit in 64-bit codes")
 
 
 def _check_words(k: int, length: int) -> None:

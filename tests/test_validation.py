@@ -230,3 +230,10 @@ def test_cli_edge_cap_env(tmp_path, monkeypatch, capsys, cap, message):
     assert capsys.readouterr().err == message
     assert not out.exists()
 
+
+def test_cli_locate_names_the_code_width(tmp_path, capsys):
+    path = tmp_path / "wide.txt"
+    path.write_text(FILES["wide"], encoding="ascii")
+    argv = ["locate", "--in", str(path), "--window", ",".join(["0"] * 19)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: 11**19 does not fit in 64-bit codes\n"
