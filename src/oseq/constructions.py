@@ -28,10 +28,9 @@ from .graph import (
     _check_cap,
     _check_code_width,
     _check_words,
+    _circuit_order,
     _codes_to_digits,
     _digits_to_codes,
-    circuit_to_sequence,
-    eulerian_circuit,
 )
 from .sequences import OrientableSequence
 from .tuples import ZkTuple, at_least, count_by_doubled_pseudoweight
@@ -252,7 +251,7 @@ def generate(recipe: ConstructionRecipe) -> OrientableSequence:
     """
     g = _build_graph(recipe)
     try:
-        circuit = eulerian_circuit(g)
+        order = _circuit_order(g)
     except DisconnectedError as exc:
         sizes = exc.component_edge_counts
         # Run-length form, "40 x 26214, 8 x 2" (a run of one is just the
@@ -269,7 +268,8 @@ def generate(recipe: ConstructionRecipe) -> OrientableSequence:
     except DomainError as exc:
         raise InternalInvariantError(
             f"constructed edge set has no Eulerian circuit: {exc}") from exc
-    symbols = circuit_to_sequence(circuit)
+    # The leading symbol of each edge, in circuit order.
+    symbols = (g.edges // g.k**g.order).astype(np.min_scalar_type(g.k - 1))[order]
     verdict = oracle.verify(symbols, recipe.n, recipe.k)
     if not verdict.accepted:
         raise InternalInvariantError(

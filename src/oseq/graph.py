@@ -509,38 +509,45 @@ def _spanning_forest(a: np.ndarray, b: np.ndarray,
     return joins, comp
 
 
-def _join_cycles(succ: np.ndarray, in_order: np.ndarray,
-                 sources: np.ndarray) -> np.ndarray:
-    """Merge the cycles of succ into one, in place, and return the
-    positions in in_order of the joins, ascending.
+def _join_cycles(g: DBSubgraph) -> np.ndarray:
+    """The successor of each edge, as edge indexes, once the canonical
+    cycle joining has left one cycle.
 
-    in_order lists the in-edges grouped by vertex in ascending vertex
-    order.  Swapping the successors of two in-edges of one vertex that lie
-    on different cycles splices those cycles together (Etzion & Lempel's
-    cycle joining).  The joins are the ones an in-order scan with a
-    union-find over the cycles makes: at consecutive in-edges, in in_order
-    order, wherever the two cycles are still apart.  Those are exactly the
-    minimum spanning forest of the cycle pairs weighted by position, which
-    Borůvka's rounds find in a few vectorised passes.  The joins are
-    applied in ascending order, each run of consecutive positions as one
-    rotation of successors, which is what the scan's successive swaps
-    amount to.
+    Pairing the j-th in-edge with the j-th out-edge of every vertex, both
+    in code order, splits the edges into cycles; the pairing exists
+    exactly when g is balanced, and otherwise a DomainError names the
+    unbalanced vertices.  Swapping the successors of two in-edges of one
+    vertex that lie on different cycles splices those cycles (Etzion &
+    Lempel's cycle joining).  The joins are the ones an in-order scan with
+    a union-find over the cycles makes at consecutive in-edges, vertices
+    in code order: the minimum spanning forest of the cycle pairs weighted
+    by position, which Borůvka's rounds find in a few vectorised passes.
+    Each run of consecutive joins is applied as one rotation of
+    successors, which is what the scan's successive swaps amount to.
 
     Raises DisconnectedError when some cycles share no vertex.  Every
     pair of cycles that meets has then been seen, so the forest's
     components are the weak components, which in a balanced graph are
     the strongly-connected ones; the error counts their edges.
     """
-    index = succ.dtype
+    m = g.edge_count
+    index = _index_dtype(m)
+    in_order = np.argsort(g.targets, kind="stable").astype(index, copy=False)
+    # sources is sorted, so this compares the in- and out-degree sequences.
+    if not np.array_equal(g.targets[in_order], g.sources):
+        _, bad = is_balanced(g)
+        raise DomainError(f"subgraph is not balanced: {len(bad)} vertices "
+                          f"differ, first {bad[0]}")
+    succ = np.empty(m, dtype=index)
+    succ[in_order] = np.arange(m, dtype=index)
     cycle_of = _cycle_labels(succ)
     # Number the cycles 0, 1, ... in the order of their labels.
-    number = np.cumsum(cycle_of == np.arange(succ.size, dtype=index),
-                       dtype=index) - 1
+    number = np.cumsum(cycle_of == np.arange(m, dtype=index), dtype=index) - 1
     cycles = int(number[-1]) + 1
     if cycles == 1:
-        return number[:0]
+        return succ
     labels = np.take(number, np.take(cycle_of, in_order))
-    at = np.flatnonzero((sources[1:] == sources[:-1])
+    at = np.flatnonzero((g.sources[1:] == g.sources[:-1])
                         & (labels[1:] != labels[:-1])).astype(index)
     joins, comp = _spanning_forest(labels[at], labels[at + 1], cycles)
     if joins.size != cycles - 1:
@@ -550,25 +557,34 @@ def _join_cycles(succ: np.ndarray, in_order: np.ndarray,
     x, y = in_order[at], in_order[at + 1]
     run_start = np.ones(at.size, dtype=bool)
     np.not_equal(at[1:], at[:-1] + 1, out=run_start[1:])
-    run_end = np.roll(run_start, -1)
     wrapped = succ[x[run_start]]
     succ[x] = succ[y]
-    succ[y[run_end]] = wrapped
-    return at
+    succ[y[np.roll(run_start, -1)]] = wrapped
+    return succ
+
+
+def _circuit_order(g: DBSubgraph) -> np.ndarray:
+    """The edge indexes of g in canonical circuit order, from edge 0."""
+    if g.edge_count == 0:
+        raise DomainError("Eulerian circuit requires at least one edge")
+    succ = _join_cycles(g)
+    order = np.empty_like(succ)
+    order[_cycle_ranks(succ)] = np.arange(succ.size, dtype=succ.dtype)
+    return order
 
 
 def is_connected(g: DBSubgraph) -> tuple[bool, int]:
     """Whether the edges of a balanced subgraph form one strongly-connected
     component.
 
-    Returns (verdict, component count), read off eulerian_circuit's cycle
-    joins; the empty graph counts as connected with zero components.  An
+    Returns (verdict, component count), read off the cycle joins alone;
+    the empty graph counts as connected with zero components.  An
     unbalanced subgraph raises the circuit's "not balanced" DomainError.
     """
     if g.edge_count == 0:
         return True, 0
     try:
-        eulerian_circuit(g)
+        _join_cycles(g)
     except DisconnectedError as exc:
         return False, len(exc.component_edge_counts)
     return True, 1
@@ -577,42 +593,21 @@ def is_connected(g: DBSubgraph) -> tuple[bool, int]:
 def eulerian_circuit(g: DBSubgraph) -> EulerianCircuit:
     """The canonical Eulerian circuit of a balanced, connected subgraph.
 
-    Canonical means: at every vertex, pair the j-th in-edge with the j-th
-    out-edge, both in code order; this splits the edges into cycles.  Then
-    visit the vertices in code order, and wherever two consecutive
-    in-edges of a vertex lie on cycles not yet joined, swap their
-    out-edges, which merges the two cycles.  The one cycle left starts at
-    the smallest edge, whose prefix is the smallest vertex.  Two calls on
-    equal subgraphs return identical circuits.
-
-    The pairing exists exactly when the subgraph is balanced; otherwise a
-    DomainError names the unbalanced vertices.  The joins reach one cycle
-    exactly when it is also connected; otherwise their spanning forest
-    already names the components, with no second pass, in a
-    DisconnectedError that carries each component's edge count.
+    Canonical means: the cycles of the in/out pairing at every vertex in
+    code order, joined at the lowest vertices that can join them, and the
+    one cycle left started at the smallest edge, whose prefix is the
+    smallest vertex.  Two calls on equal subgraphs return identical
+    circuits.  An unbalanced subgraph raises a DomainError naming the
+    unbalanced vertices, a disconnected one a DisconnectedError with each
+    component's edge count.
 
     Every step is a few O(m) numpy passes: the cycles are labelled and the
     final cycle ranked by walks from sparse rulers, with pointer doubling
     for small or adversarial inputs, and the joins are a Borůvka spanning
     forest over the pairs of cycles that meet.
     """
-    m = g.edge_count
-    if m == 0:
-        raise DomainError("Eulerian circuit requires at least one edge")
-    index = _index_dtype(m)
-    sources = g.sources
-    in_order = np.argsort(g.targets, kind="stable").astype(index, copy=False)
-    # sources is sorted, so this compares the in- and out-degree sequences.
-    if not np.array_equal(g.targets[in_order], sources):
-        _, bad = is_balanced(g)
-        raise DomainError(f"subgraph is not balanced: {len(bad)} vertices "
-                          f"differ, first {bad[0]}")
-    succ = np.empty(m, dtype=index)
-    succ[in_order] = np.arange(m, dtype=index)
-    _join_cycles(succ, in_order, sources)
-    order = np.empty(m, dtype=index)
-    order[_cycle_ranks(succ)] = np.arange(m, dtype=index)
-    start = code_to_tuple(int(sources[0]), g.k, g.order)
+    order = _circuit_order(g)
+    start = code_to_tuple(int(g.sources[0]), g.k, g.order)
     return EulerianCircuit(g.k, g.order, g.edges[order], start)
 
 

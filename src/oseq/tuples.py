@@ -14,6 +14,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import DomainError, ResourceCapError
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -67,8 +69,8 @@ def checked_word(word: "ZkTuple | Sequence[int]", k: int, length: int,
 
     noun ("edge", "window") names the word in the DomainError raised for
     a mixed alphabet, an array that is not 1-d, a symbol that is not an
-    integer (a float is refused even with a whole value), a wrong length
-    or a symbol outside Z_k.
+    integer (a float is refused even with a whole value; a numpy bool
+    counts), a wrong length or a symbol outside Z_k.
     """
     if isinstance(word, ZkTuple):
         if word.k != k:
@@ -77,8 +79,10 @@ def checked_word(word: "ZkTuple | Sequence[int]", k: int, length: int,
     elif getattr(word, "ndim", 1) != 1:
         raise DomainError(f"{noun} must be 1-d, got shape {word.shape}")
     else:
+        items = word.tolist() if isinstance(word, np.ndarray) else word
         try:
-            symbols = tuple(map(operator.index, word))
+            symbols = tuple(operator.index(
+                s.item() if isinstance(s, np.generic) else s) for s in items)
         except TypeError as exc:
             raise DomainError(f"{noun} symbols must be integers") from exc
     if len(symbols) != length:

@@ -350,8 +350,11 @@ def test_generate_runs_no_separate_certificates(monkeypatch, method, k, n, t):
     def refuse(*args):
         raise AssertionError("certificate called on a good recipe")
 
+    # generate spells the circuit order itself: it builds no checked
+    # EulerianCircuit, which verify() would check again.
     for name in ("is_antisymmetric", "is_antinegasymmetric", "is_balanced",
-                 "is_connected"):
+                 "is_connected", "eulerian_circuit", "circuit_to_sequence",
+                 "EulerianCircuit"):
         monkeypatch.setattr(graph, name, refuse)
         monkeypatch.setattr(constructions, name, refuse, raising=False)
     verified = []

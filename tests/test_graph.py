@@ -184,6 +184,18 @@ def test_connectivity_refuses_unbalanced_graphs():
         is_connected(build_subgraph(4, 1, [(0, 0), (1, 1), (2, 3)]))
 
 
+def test_connectivity_reads_only_the_joins(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("is_connected ranked or built a circuit")
+
+    monkeypatch.setattr(graph, "_cycle_ranks", refuse)
+    monkeypatch.setattr(graph, "EulerianCircuit", refuse)
+    assert is_connected(end_difference_graph(5, 3)) == (True, 1)
+    assert is_connected(end_difference_graph(4, 4)) == (False, 6)
+    with pytest.raises(DomainError, match="not balanced"):
+        is_connected(build_subgraph(2, 1, [(0, 1)]))
+
+
 def _tarjan_components(g):
     """Strongly-connected components by Tarjan's algorithm (SIAM J.
     Comput. 1972), iteratively over plain Python dicts.
@@ -583,15 +595,16 @@ def test_joins_match_union_find_reference(k, order, seed, parts, walks):
         want = _union_find_joins(succ, in_order, g.sources)
     except DisconnectedError as exc:
         with pytest.raises(DisconnectedError) as err:
-            _join_cycles(succ.copy(), in_order, g.sources)
+            _join_cycles(g)
         assert err.value.component_edge_counts == exc.component_edge_counts
         return
-    joined = succ.copy()
-    assert _join_cycles(joined, in_order, g.sources).tolist() == want
-    # The rotations equal the scan's successive swaps.
+    # The joined successors fix the join set: the rotations equal the
+    # scan's successive swaps.
     for p in want:
         x, y = in_order[p], in_order[p + 1]
         succ[x], succ[y] = succ[y], succ[x]
+    joined = _join_cycles(g)
+    assert joined.dtype == index
     assert np.array_equal(joined, succ)
 
 

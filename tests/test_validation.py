@@ -19,7 +19,13 @@ from oseq.graph import (
     edge_graph_of_sequence,
     full_de_bruijn,
 )
-from oseq.oracle import exhaustive_max_period, locate, verify
+from oseq.oracle import (
+    Direction,
+    LocateResult,
+    exhaustive_max_period,
+    locate,
+    verify,
+)
 from oseq.sequences import OrientableSequence
 from oseq.tables import compute_table
 from oseq.tuples import (
@@ -140,6 +146,20 @@ def test_entry_point_rejects_bad_input(name):
         call()
     if message is not None:
         assert str(info.value) == message
+
+
+def test_words_accept_numpy_bools():
+    # A bool array is a word of integer symbols, as the decoder and
+    # checked_symbols already take it.
+    seq = OrientableSequence(2, 3, 4, np.array([0, 0, 1, 1]))
+    window = np.array([True, False, False])
+    assert seq.decoder.decode(window[None])[0].tolist() == [3]
+    assert locate(seq, window) == LocateResult(3, Direction.FORWARD)
+    assert np.array([True, False]) in full_de_bruijn(2, 1)
+    for word, want in ((np.array([True, False]), (1, 0)),
+                       ([np.True_, np.int64(2)], (1, 2))):
+        symbols = ZkTuple(3, word).symbols
+        assert symbols == want and all(type(s) is int for s in symbols)
 
 
 FILES = {
