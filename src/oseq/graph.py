@@ -113,13 +113,10 @@ def _reverse_codes(codes: np.ndarray, k: int, length: int,
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
-    """The distinct values of an integer array, ascending.
-
-    A sort and an adjacent compare: numpy 2's unique takes a slower
-    hash-based path on large integer arrays, and that path's allocations
-    stay behind in the heap.  Calling np.unique once per spanning-forest
-    round in eulerian_circuit raised the decode-stream benchmark's peak
-    RSS from about 120 MB to 134 MB.
+    """The distinct values of an integer array, ascending, by a sort and
+    an adjacent compare: numpy 2's unique takes a slower hash path on
+    large integer arrays, whose allocations stay behind in the heap (per
+    spanning-forest round, they raised decode-stream's peak RSS 12%).
     """
     ordered = np.sort(codes)
     first = np.empty(ordered.size, dtype=bool)
@@ -297,10 +294,7 @@ class EulerianCircuit:
             raise DomainError("an Eulerian circuit cannot be empty")
         if _sorted_unique(edges).size != edges.size:
             raise DomainError("circuit repeats an edge")
-        base = self.k**self.order
-        suffixes = edges % base
-        prefixes = np.roll(edges, -1) // self.k
-        if not np.array_equal(suffixes, prefixes):
+        if not np.array_equal(edges % self.k**self.order, np.roll(edges, -1) // self.k):
             raise DomainError("consecutive circuit edges do not chain")
         if tuple_to_code(self.start_vertex, self.k) != int(edges[0]) // self.k:
             raise DomainError("start vertex does not match the first edge")
@@ -319,106 +313,88 @@ def _index_dtype(m: int) -> type:
     return np.int32 if m < 2**31 else np.int64
 
 
-# From this many elements on, cycles are labelled and ranked by walks from
-# sparse rulers in O(m) work; below it, pointer doubling's log2(m) full
-# passes cost less than the walks' per-step overhead.  The two break even
-# on circuits of about 150,000 edges.
+# From this many elements on, one walk from sparse rulers lays cycles out in
+# O(m); below, doubling's log2(m) passes cost less (break-even ~150k edges).
 _WALK_MIN = 1 << 17
-# Every multiple of the stride (a power of two) is a ruler.  Gaps between
-# rulers along a cycle average the stride, and the longest on the golden
-# cells span about 10 strides, so a walk still going after the bound meets
-# an adversarial order, and doubling takes over.
+# Every multiple of the stride (a power of two) is a ruler.  The longest
+# gap between rulers on the golden cells spans about 10 strides, so a walk
+# still going after the bound meets an adversarial order; doubling takes over.
 _RULER_STRIDE = 64
 _WALK_BOUND = 32 * _RULER_STRIDE
 
 
-def _walk(succ: np.ndarray, start: np.ndarray | None = None, steps: int = 0):
+def _walk(succ: np.ndarray):
     """Follow the permutation succ from every ruler at once until each
     walker meets the next ruler: one gather per step for all walkers
     (a sparse ruling set, after Helman & JáJá, JPDC 2001).
 
-    Ruler r is element r * _RULER_STRIDE.  Without start, returns
-    (next_ruler, gap): for each ruler, the ruler its walk met and the
-    steps to it, so next_ruler is the permutation that succ induces on
-    the rulers; or None once a walk passes _WALK_BOUND steps.  With
-    start, one value per ruler, the walks run again and return an array
-    that holds start[r] + steps * s at the element s steps after ruler r,
-    and -1 on the cycles that hold no ruler.  Walking twice keeps one
-    array of size m alive instead of an owner and an offset for each
-    element, which also leaves less behind in the heap: decode-stream's
-    peak RSS read about 119.1 MB this way and 120.3 MB with one walk.
+    Ruler r is element r * _RULER_STRIDE.  Returns None once a walk
+    passes _WALK_BOUND steps, else the trail: seen lists each element a
+    walk reached, its next ruler included; who is the ruler that walk
+    began at; step s + 1 wrote sizes[s] entries.  The two m-element
+    blocks are preallocated (per-step lists took 6% more peak RSS).
     """
     index = succ.dtype
     here = np.arange(0, succ.size, _RULER_STRIDE, dtype=index)
-    if start is None:
-        walker = np.arange(here.size, dtype=index)
-        next_ruler = np.empty_like(walker)
-        gap = np.empty_like(walker)
-    else:
-        value = start
-        out = np.full(succ.size, -1, dtype=index)
-        out[here] = value
-    for step in range(1, _WALK_BOUND + 1):
+    walker = np.arange(here.size, dtype=index)
+    seen, who = np.empty_like(succ), np.empty_like(succ)
+    sizes, filled = [], 0
+    for _ in range(_WALK_BOUND):
         here = np.take(succ, here)
+        seen[filled:filled + here.size] = here
+        who[filled:filled + here.size] = walker
+        sizes.append(here.size)
+        filled += here.size
         going = (here & (_RULER_STRIDE - 1)) != 0
-        if start is None:
-            arrived = ~going
-            done = walker[arrived]
-            next_ruler[done] = here[arrived] // _RULER_STRIDE
-            gap[done] = step
-            walker = walker[going]
-        else:
-            value = value[going] + steps
-        here = here[going]
+        walker, here = walker[going], here[going]
         if here.size == 0:
-            return (next_ruler, gap) if start is None else out
-        if start is not None:
-            out[here] = value
+            return seen[:filled], who[:filled], sizes
     return None
 
 
-def _cycle_labels(succ: np.ndarray) -> np.ndarray:
-    """A label for each element of the permutation succ: equal exactly on
-    the elements of one cycle, and itself an element of that cycle.
+def _cycle_layout(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A slot for each element of the permutation succ, and each cycle's
+    first slot, ascending: every cycle fills consecutive slots in
+    successor order, and element 0 sits at slot 0.
 
-    Large arrays go through _walk: a cycle that holds a ruler takes the
-    label of one of its rulers, found by labelling the short ruler
-    permutation.  The cycles that hold no ruler, and arrays too small or
-    too adversarial to walk, are labelled by pointer doubling.
+    One _walk places each ruler at the sum of the gaps before it in the
+    layout of the ruler permutation, and each element on the trail its
+    step count after its walk's ruler.  Cycles without a ruler, and
+    arrays under _WALK_MIN or too adversarial to walk, are laid out by
+    pointer doubling, in the order of their smallest elements.
     """
-    walk = _walk(succ) if succ.size >= _WALK_MIN else None
+    m, index = succ.size, succ.dtype
+    walk = _walk(succ) if m >= _WALK_MIN else None
     if walk is None:
-        return _doubling_labels(succ)
-    labels = _walk(succ, _cycle_labels(walk[0]) * _RULER_STRIDE)
-    rest = np.flatnonzero(labels < 0).astype(succ.dtype, copy=False)
-    if rest.size:
-        # The unlabelled cycles are closed under succ; until they are
-        # labelled, labels maps each of their elements to its place in rest.
-        labels[rest] = np.arange(rest.size, dtype=succ.dtype)
-        local = np.take(labels, np.take(succ, rest))
-        labels[rest] = np.take(rest, _doubling_labels(local))
-    return labels
-
-
-def _cycle_ranks(succ: np.ndarray) -> np.ndarray:
-    """Position of each element on the single cycle of succ, counted
-    from element 0.
-
-    Large arrays go through _walk: rank the short ruler cycle (ruler 0 is
-    element 0), sum the gaps in that order to place each ruler, then walk
-    again adding each element's steps from its ruler.  Arrays too small
-    or too adversarial to walk are ranked by pointer doubling.
-    """
-    walk = _walk(succ) if succ.size >= _WALK_MIN else None
-    if walk is None:
-        return _doubling_ranks(succ)
-    next_ruler, gap = walk
-    order = np.empty_like(next_ruler)
-    order[_cycle_ranks(next_ruler)] = np.arange(order.size, dtype=order.dtype)
-    steps = gap[order]
-    start = np.empty_like(gap)
-    start[order] = np.cumsum(steps, dtype=gap.dtype) - steps
-    return _walk(succ, start, steps=1)
+        labels = _doubling_labels(succ)
+        size = np.bincount(labels).astype(index)
+        start = np.cumsum(size, dtype=index) - size
+        ranks = _doubling_ranks(succ, labels, int(size.max()))
+        return np.take(start, labels) + ranks, start[size > 0]
+    seen, who, sizes = walk
+    place = np.repeat(np.arange(1, len(sizes) + 1, dtype=index), sizes)
+    met = np.flatnonzero((seen & (_RULER_STRIDE - 1)) == 0)  # the walks' ends
+    link = np.empty_like(succ[::_RULER_STRIDE])
+    link[who[met]] = seen[met] // _RULER_STRIDE
+    ruler_pos, heads = _cycle_layout(link)
+    gap = np.empty_like(link)
+    gap[np.take(ruler_pos, who[met])] = place[met]
+    start = np.cumsum(gap, dtype=index) - gap
+    heads, start = start[heads], np.take(start, ruler_pos)
+    place += np.take(start, who)
+    pos = np.full(m, -1, dtype=index)
+    np.put(pos, seen, place)
+    pos[::_RULER_STRIDE] = start
+    placed = seen.size - met.size + link.size
+    if placed < m:
+        rest = np.flatnonzero(pos < 0).astype(index, copy=False)
+        # The cycles off the trail are closed under succ; until they are
+        # placed, pos maps each of their elements to its place in rest.
+        pos[rest] = np.arange(rest.size, dtype=index)
+        rest_pos, rest_heads = _cycle_layout(np.take(pos, np.take(succ, rest)))
+        pos[rest] = rest_pos + placed
+        heads = np.concatenate([heads, rest_heads + placed])
+    return pos, heads
 
 
 def _doubling_labels(succ: np.ndarray) -> np.ndarray:
@@ -428,30 +404,27 @@ def _doubling_labels(succ: np.ndarray) -> np.ndarray:
     next 2**t elements.  A round that changes no label means the windows
     already tile every cycle, so the labels are final.
     """
-    labels = np.arange(succ.size, dtype=succ.dtype)
-    jump = succ
+    labels, jump = np.arange(succ.size, dtype=succ.dtype), succ
     while True:
         widened = np.minimum(labels, np.take(labels, jump))
         if np.array_equal(widened, labels):
             return labels
-        labels = widened
-        jump = np.take(jump, jump)
+        labels, jump = widened, np.take(jump, jump)
 
 
-def _doubling_ranks(succ: np.ndarray) -> np.ndarray:
-    """_cycle_ranks by Wyllie list ranking: cut the cycle in front of
-    element 0, then double the pointers, summing hop counts, until every
-    element sees the end."""
-    m = succ.size
-    end = int(np.flatnonzero(succ == 0)[0])
-    jump = succ.copy()
-    jump[end] = end
-    hops = np.ones(m, dtype=succ.dtype)
-    hops[end] = 0
-    for _ in range((m - 1).bit_length()):
+def _doubling_ranks(succ: np.ndarray, first: np.ndarray | int,
+                    longest: int) -> np.ndarray:
+    """Steps to each element of the permutation succ from the element
+    first names on its cycle (of at most longest elements), by Wyllie's
+    list ranking: cut each cycle in front of that element, then double
+    the pointers, summing hop counts."""
+    end = succ == first
+    jump = np.where(end, np.arange(succ.size, dtype=succ.dtype), succ)
+    hops = (~end).astype(succ.dtype)
+    for _ in range((longest - 1).bit_length()):
         hops += np.take(hops, jump)
         jump = np.take(jump, jump)
-    return (m - 1) - hops
+    return np.take(hops, first) - hops
 
 
 def _spanning_forest(a: np.ndarray, b: np.ndarray,
@@ -475,8 +448,8 @@ def _spanning_forest(a: np.ndarray, b: np.ndarray,
         ca, cb = np.take(comp, a), np.take(comp, b)
         keep = np.flatnonzero(ca != cb)
         if count * count <= keep.size:
-            pair = (np.minimum(ca[keep], cb[keep]) * count
-                    + np.maximum(ca[keep], cb[keep]))
+            pair = (np.minimum(ca, cb)[keep] * count
+                    + np.maximum(ca, cb)[keep])
             lightest = np.full(count * count, keep.size, dtype=index)
             np.minimum.at(lightest, pair, np.arange(keep.size, dtype=index))
             keep = keep[np.sort(lightest[lightest < keep.size])]
@@ -509,9 +482,12 @@ def _spanning_forest(a: np.ndarray, b: np.ndarray,
     return joins, comp
 
 
-def _join_cycles(g: DBSubgraph) -> np.ndarray:
-    """The successor of each edge, as edge indexes, once the canonical
-    cycle joining has left one cycle.
+def _join_cycles(g: DBSubgraph):
+    """(succ, pos, cuts): the successor of each edge, as edge indexes,
+    once the canonical cycle joining has left one cycle; from _WALK_MIN
+    edges on, each edge's slot in the pairing's _cycle_layout, and a mask
+    over the slots and m: cycle starts, and each slot after an edge whose
+    successor the joins changed (below, None and None).
 
     Pairing the j-th in-edge with the j-th out-edge of every vertex, both
     in code order, splits the edges into cycles; the pairing exists
@@ -522,13 +498,9 @@ def _join_cycles(g: DBSubgraph) -> np.ndarray:
     a union-find over the cycles makes at consecutive in-edges, vertices
     in code order: the minimum spanning forest of the cycle pairs weighted
     by position, which Borůvka's rounds find in a few vectorised passes.
-    Each run of consecutive joins is applied as one rotation of
-    successors, which is what the scan's successive swaps amount to.
-
-    Raises DisconnectedError when some cycles share no vertex.  Every
-    pair of cycles that meets has then been seen, so the forest's
-    components are the weak components, which in a balanced graph are
-    the strongly-connected ones; the error counts their edges.
+    Each run of consecutive joins is one rotation of successors.  If some
+    cycles share no vertex, a DisconnectedError counts the edges of the
+    forest's components: the weak, so in a balanced graph the strong, ones.
     """
     m = g.edge_count
     index = _index_dtype(m)
@@ -539,38 +511,66 @@ def _join_cycles(g: DBSubgraph) -> np.ndarray:
         raise DomainError(f"subgraph is not balanced: {len(bad)} vertices "
                           f"differ, first {bad[0]}")
     succ = np.empty(m, dtype=index)
-    succ[in_order] = np.arange(m, dtype=index)
-    cycle_of = _cycle_labels(succ)
-    # Number the cycles 0, 1, ... in the order of their labels.
-    number = np.cumsum(cycle_of == np.arange(m, dtype=index), dtype=index) - 1
+    np.put(succ, in_order, np.arange(m, dtype=index))
+    if m < _WALK_MIN:
+        pos = cuts = None
+        labels = _doubling_labels(succ)
+        first = labels == np.arange(m, dtype=index)
+    else:
+        pos, heads = _cycle_layout(succ)
+        cuts = np.zeros(m + 1, dtype=bool)
+        cuts[heads] = True
+        first = cuts[:m]
+    # Number the cycles 0, 1, ... in the order of their labels or slots.
+    number = np.cumsum(first, dtype=index) - 1
     cycles = int(number[-1]) + 1
+    number = np.take(number, labels if pos is None else pos)
     if cycles == 1:
-        return succ
-    labels = np.take(number, np.take(cycle_of, in_order))
+        return succ, pos, cuts
+    # The in-edges at positions p and p + 1 lead to edges p and p + 1.
     at = np.flatnonzero((g.sources[1:] == g.sources[:-1])
-                        & (labels[1:] != labels[:-1])).astype(index)
-    joins, comp = _spanning_forest(labels[at], labels[at + 1], cycles)
+                        & (number[1:] != number[:-1])).astype(index)
+    joins, comp = _spanning_forest(number[at], number[at + 1], cycles)
     if joins.size != cycles - 1:
-        sizes = np.bincount(np.take(comp, np.take(number, cycle_of)))
+        sizes = np.bincount(np.take(comp, number))
         raise DisconnectedError(sorted(sizes.tolist(), reverse=True))
     at = at[joins]
     x, y = in_order[at], in_order[at + 1]
     run_start = np.ones(at.size, dtype=bool)
     np.not_equal(at[1:], at[:-1] + 1, out=run_start[1:])
-    wrapped = succ[x[run_start]]
-    succ[x] = succ[y]
-    succ[y[np.roll(run_start, -1)]] = wrapped
-    return succ
+    run_end = np.roll(run_start, -1)
+    succ[x] = at + 1
+    succ[y[run_end]] = at[run_start]
+    if pos is not None:
+        cuts[np.take(pos, np.concatenate([x, y[run_end]])) + 1] = True
+    return succ, pos, cuts
 
 
 def _circuit_order(g: DBSubgraph) -> np.ndarray:
-    """The edge indexes of g in canonical circuit order, from edge 0."""
+    """The edge indexes of g in canonical circuit order, from edge 0:
+    below _WALK_MIN edges, the joined cycle ranked by doubling; from it
+    on, the pieces of the pairing's layout between cuts, which the joined
+    successors follow whole, ranked from the one at slot 0 and read out
+    by one gather through the layout's inverse."""
     if g.edge_count == 0:
         raise DomainError("Eulerian circuit requires at least one edge")
-    succ = _join_cycles(g)
+    succ, pos, cuts = _join_cycles(g)
+    m, index = succ.size, succ.dtype
     order = np.empty_like(succ)
-    order[_cycle_ranks(succ)] = np.arange(succ.size, dtype=succ.dtype)
-    return order
+    if pos is None:
+        order[_doubling_ranks(succ, 0, m)] = np.arange(m, dtype=index)
+        return order
+    np.put(order, pos, np.arange(m, dtype=index))
+    first = np.flatnonzero(cuts[:m]).astype(index)
+    last = np.append(first[1:], m) - 1
+    # Each piece ends at an edge whose successor starts a piece.
+    after = (np.cumsum(cuts[:m], dtype=index) - 1)[pos[succ[order[last]]]]
+    piece = np.empty_like(after)
+    piece[_doubling_ranks(after, 0, after.size)] = np.arange(after.size, dtype=index)
+    length = np.take(last - first + 1, piece)
+    slots = np.repeat(first[piece] - np.cumsum(length, dtype=index) + length, length)
+    slots += np.arange(m, dtype=index)
+    return np.take(order, slots)
 
 
 def is_connected(g: DBSubgraph) -> tuple[bool, int]:
@@ -601,10 +601,10 @@ def eulerian_circuit(g: DBSubgraph) -> EulerianCircuit:
     unbalanced vertices, a disconnected one a DisconnectedError with each
     component's edge count.
 
-    Every step is a few O(m) numpy passes: the cycles are labelled and the
-    final cycle ranked by walks from sparse rulers, with pointer doubling
-    for small or adversarial inputs, and the joins are a Borůvka spanning
-    forest over the pairs of cycles that meet.
+    Every step is a few O(m) numpy passes: one walk from sparse rulers
+    lays the pairing's cycles out (doubling for small or adversarial
+    inputs), a Borůvka spanning forest picks the joins, and the circuit
+    is spliced from the pieces of that layout the joins leave whole.
     """
     order = _circuit_order(g)
     start = code_to_tuple(int(g.sources[0]), g.k, g.order)

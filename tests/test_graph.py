@@ -29,8 +29,8 @@ from oseq.graph import (
     window_ids,
 )
 from oseq.graph import (
-    _cycle_labels,
-    _cycle_ranks,
+    _circuit_order,
+    _cycle_layout,
     _cyclic_windows,
     _digits_to_codes,
     _doubling_labels,
@@ -188,7 +188,9 @@ def test_connectivity_reads_only_the_joins(monkeypatch):
     def refuse(*args):
         raise AssertionError("is_connected ranked or built a circuit")
 
-    monkeypatch.setattr(graph, "_cycle_ranks", refuse)
+    # The splice and the doubling ranks of the joined cycle.
+    monkeypatch.setattr(graph, "_circuit_order", refuse)
+    monkeypatch.setattr(graph, "_doubling_ranks", refuse)
     monkeypatch.setattr(graph, "EulerianCircuit", refuse)
     assert is_connected(end_difference_graph(5, 3)) == (True, 1)
     assert is_connected(end_difference_graph(4, 4)) == (False, 6)
@@ -260,14 +262,9 @@ def _assert_components_match_tarjan(g):
 @given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
        st.sets(st.integers(0, 2), min_size=1))
 def test_connectivity_matches_tarjan_on_random_unions(k, order, seed, parts):
-    # Each part is a connected union written in its own k symbols of an
-    # alphabet of 3k, so the parts share no vertex.
-    words = []
-    for p in sorted(parts):
-        part = _eulerian_union(k, order, seed + p, 4).edge_tuples()
-        words += [tuple(s + p * k for s in w) for w in part]
-    assume(words)
-    _assert_components_match_tarjan(build_subgraph(3 * k, order, words))
+    g = _split_union(k, order, seed, parts, 4)
+    assume(g.edge_count)
+    _assert_components_match_tarjan(g)
 
 
 @pytest.mark.parametrize("k,n", [(k, n) for (method, k, n, _), want
@@ -331,6 +328,16 @@ def test_circuit_rejects_broken_invariants():
         with pytest.raises(DomainError, match=message):
             EulerianCircuit(2, 2, edges, vertex)
     assert np.array_equal(EulerianCircuit(2, 2, good.edges, start).edges, good.edges)
+
+
+def _split_union(k, order, seed, parts, walks):
+    """Connected unions, one per part, each written in its own k symbols
+    of an alphabet of 3k, so that the parts share no vertex."""
+    words = []
+    for p in sorted(parts):
+        part = _eulerian_union(k, order, seed + p, walks).edge_tuples()
+        words += [tuple(s + p * k for s in w) for w in part]
+    return build_subgraph(3 * k, order, words)
 
 
 def _eulerian_union(k, order, seed, walks):
@@ -433,7 +440,7 @@ def test_circuit_with_wide_indexes(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 400), st.randoms(use_true_random=False))
 def test_doubling_helpers_in_int64(m, rnd):
-    # Random cycles, labelled and ranked against plain walks: by pointer
+    # Random cycles, laid out and checked against plain walks: by pointer
     # doubling at these sizes, and by ruler walks with the size constant
     # patched down, so that cycles with and without a ruler both occur.
     # (At 2 the walks recurse down to a single ruler and stop there.)
@@ -452,22 +459,45 @@ def test_doubling_helpers_in_int64(m, rnd):
     for walk_min in (graph._WALK_MIN, 2):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph, "_WALK_MIN", walk_min)
-            labels = _cycle_labels(succ)
-            ranks = _cycle_ranks(whole)
-        assert labels.dtype == np.int64
-        _assert_labels_partition(labels, cycles)
+            pos, heads = _cycle_layout(succ)
+            ranks, one_head = _cycle_layout(whole)
+        assert pos.dtype == heads.dtype == np.int64
+        _assert_layout(pos, heads, succ)
+        # On a single cycle, the layout ranks every element from 0.
         assert ranks.dtype == np.int64
         assert ranks[walk].tolist() == list(range(m))
+        assert one_head.tolist() == [0]
 
 
-def _assert_labels_partition(labels, cycles):
-    """One label per cycle, distinct across cycles, each on its cycle."""
-    names = []
-    for cycle in cycles:
-        (name,) = set(labels[cycle].tolist())
-        assert name in cycle
-        names.append(name)
-    assert len(set(names)) == len(cycles)
+def _assert_layout(pos, heads, succ):
+    """Every cycle of succ on consecutive slots in successor order, from
+    its first slot, one of heads; element 0 at slot 0; heads ascending."""
+    m = succ.size
+    assert sorted(pos.tolist()) == list(range(m))
+    assert pos[0] == 0
+    at = np.empty(m, dtype=np.int64)
+    at[pos] = np.arange(m)
+    firsts = []
+    for head in heads.tolist():
+        firsts.append(head)
+        slot, e = head, int(at[head])
+        while int(succ[e]) != int(at[head]):
+            e = int(succ[e])
+            slot += 1
+            assert pos[e] == slot
+    assert firsts == sorted(set(firsts))
+    # The heads tile the slots: each cycle ends where the next begins.
+    lengths = np.diff(firsts + [m]).tolist()
+    for head, length in zip(firsts, lengths):
+        e = int(at[head])
+        assert len(_cycle_of(succ, e)) == length
+
+
+def _cycle_of(succ, e):
+    cycle = [e]
+    while int(succ[cycle[-1]]) != e:
+        cycle.append(int(succ[cycle[-1]]))
+    return cycle
 
 
 class _CountingNumpy:
@@ -498,15 +528,47 @@ def test_ruler_walk_stops_at_its_bound(monkeypatch):
     monkeypatch.setattr(graph, "_WALK_MIN", 2)
     counting = _CountingNumpy(succ)
     monkeypatch.setattr(graph, "np", counting)
-    ranks = _cycle_ranks(succ)
-    assert counting.gathers == graph._WALK_BOUND
-    counting.gathers = 0
-    labels = _cycle_labels(succ)
-    # The walk's gathers, then doubling's first pointer jump.
+    pos, heads = _cycle_layout(succ)
+    # The walk's gathers, then doubling's first pointer jump; the ranks
+    # start from a copy of succ.
     assert counting.gathers == graph._WALK_BOUND + 1
     walk = cycle[cycle.index(0):] + cycle[:cycle.index(0)]
-    assert ranks[walk].tolist() == list(range(m))
-    assert set(labels.tolist()) == {0}
+    assert pos[walk].tolist() == list(range(m))
+    assert heads.tolist() == [0]
+
+
+def test_circuit_walks_the_pairing_once(monkeypatch):
+    # One walk over the pairing's successors lays its cycles out; the
+    # joined cycle is spliced from that layout, not walked again.
+    g = end_difference_graph(9, 6)
+    assert g.edge_count >= graph._WALK_MIN
+    want = _circuit_order(g)
+    counting = _CountingNumpy(None)
+    walked = []
+    walk = graph._walk
+
+    def counted_walk(succ):
+        if succ.size == g.edge_count:
+            counting.source = succ
+            pairing.append(succ.copy())
+        trail = walk(succ)
+        walked.append((succ.size, len(trail[2])))
+        return trail
+
+    pairing = []
+    monkeypatch.setattr(graph, "np", counting)
+    monkeypatch.setattr(graph, "_walk", counted_walk)
+    assert np.array_equal(_circuit_order(g), want)
+    # The ruler permutation is laid out by doubling at this size.
+    ((size, steps),) = walked
+    assert size == g.edge_count
+    # 11 of the pairing's 174 cycles hold no ruler.
+    labels = _doubling_labels(pairing[0])
+    cycles = np.unique(labels)
+    ruled = np.unique(labels[::graph._RULER_STRIDE])
+    assert (cycles.size, ruled.size) == (174, 163)
+    # One gather per step, then one of the ruler-free cycles' successors.
+    assert counting.gathers == steps + 1
 
 
 def _kruskal(a, b, nodes):
@@ -579,18 +641,11 @@ def _union_find_joins(succ, in_order, sources):
 @given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
        st.sets(st.integers(0, 2), min_size=1), st.integers(1, 6))
 def test_joins_match_union_find_reference(k, order, seed, parts, walks):
-    # Connected unions (one part) and split ones (two or three parts
-    # written in disjoint k-symbol blocks of an alphabet of 3k).
-    words = []
-    for p in sorted(parts):
-        part = _eulerian_union(k, order, seed + p, walks).edge_tuples()
-        words += [tuple(s + p * k for s in w) for w in part]
-    assume(words)
-    g = build_subgraph(3 * k, order, words)
+    # Connected unions (one part) and split ones (two or three parts).
+    g = _split_union(k, order, seed, parts, walks)
+    assume(g.edge_count)
     index = _index_dtype(g.edge_count)
-    in_order = np.argsort(g.targets, kind="stable").astype(index)
-    succ = np.empty(g.edge_count, dtype=index)
-    succ[in_order] = np.arange(g.edge_count, dtype=index)
+    in_order, succ = _pairing(g)
     try:
         want = _union_find_joins(succ, in_order, g.sources)
     except DisconnectedError as exc:
@@ -603,9 +658,84 @@ def test_joins_match_union_find_reference(k, order, seed, parts, walks):
     for p in want:
         x, y = in_order[p], in_order[p + 1]
         succ[x], succ[y] = succ[y], succ[x]
-    joined = _join_cycles(g)
+    joined, pos, cuts = _join_cycles(g)
+    assert pos is None and cuts is None
     assert joined.dtype == index
     assert np.array_equal(joined, succ)
+
+
+def _pairing(g):
+    """The in-edges in order of their targets, and the pairing's successors."""
+    index = _index_dtype(g.edge_count)
+    in_order = np.argsort(g.targets, kind="stable").astype(index)
+    succ = np.empty(g.edge_count, dtype=index)
+    succ[in_order] = np.arange(g.edge_count, dtype=index)
+    return in_order, succ
+
+
+def _assert_splice_matches_walk(g, stride, wide):
+    """_circuit_order from the pairing's layout, with every graph walked
+    and rulers every stride elements, equals a pure-Python walk of the
+    joined successors from edge 0, or raises the same DisconnectedError
+    as the doubling path.  Returns the splice cases the graph meets."""
+    try:
+        joined, _, _ = _join_cycles(g)
+    except DisconnectedError as exc:
+        want = exc.component_edge_counts
+    else:
+        want, j = [0], int(joined[0])
+        while j != 0:
+            want.append(j)
+            j = int(joined[j])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_WALK_MIN", 2)
+        mp.setattr(graph, "_RULER_STRIDE", stride)
+        if wide:
+            mp.setattr(graph, "_index_dtype", lambda m: np.int64)
+        try:
+            got = _circuit_order(g)
+        except DisconnectedError as exc:
+            assert exc.component_edge_counts == want
+            return set()
+        assert got.dtype == (np.int64 if wide else np.int32)
+        assert got.tolist() == want
+        _, succ = _pairing(g)
+        pos, heads = _cycle_layout(succ)
+    cases = set()
+    # A run of r joins changes r + 1 successors, a lone join 2.
+    moved = np.flatnonzero(joined != succ)
+    if moved.size < 2 * (heads.size - 1):
+        cases.add("rotation")
+    if np.isin(pos[moved] + 1, np.append(heads, g.edge_count)).any():
+        cases.add("wrapping cut")
+    labels = _doubling_labels(succ)
+    if set(labels.tolist()) - set(labels[::stride].tolist()):
+        cases.add("no ruler")
+    return cases
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.sets(st.integers(0, 2), min_size=1), st.integers(1, 8),
+       st.sampled_from([2, 4, 64]))
+@pytest.mark.parametrize("wide", [False, True])
+def test_splice_matches_walk_of_joined_successors(wide, k, order, seed,
+                                                  parts, walks, stride):
+    g = _split_union(k, order, seed, parts, walks)
+    assume(g.edge_count)
+    _assert_splice_matches_walk(g, stride, wide)
+
+
+def test_splice_reference_meets_every_case():
+    # Seeded connected unions that together hold a join on the last slot
+    # of its cycle (its cut wraps to the next cycle's start), a run of
+    # consecutive joins (a rotation) and a cycle without a ruler.
+    cases = collections.Counter()
+    for seed in range(30):
+        for stride in (2, 4):
+            g = _eulerian_union(3, 2, seed, 8)
+            cases.update(_assert_splice_matches_walk(g, stride, wide=False))
+    assert set(cases) == {"rotation", "wrapping cut", "no ruler"}
 
 
 def test_window_codes_reverse():
