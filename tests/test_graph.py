@@ -530,7 +530,7 @@ def test_ruler_walk_stops_at_its_bound(monkeypatch):
     monkeypatch.setattr(graph, "np", counting)
     pos, heads = _cycle_layout(succ)
     # The walk's gathers, then doubling's first pointer jump; the ranks
-    # start from a copy of succ.
+    # start from np.where, not from a gather of succ.
     assert counting.gathers == graph._WALK_BOUND + 1
     walk = cycle[cycle.index(0):] + cycle[:cycle.index(0)]
     assert pos[walk].tolist() == list(range(m))
