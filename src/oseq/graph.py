@@ -125,6 +125,15 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
+def _edge_codes(edges) -> np.ndarray:
+    """Edge codes as int64, refusing a nonempty array that is not of
+    integer or bool dtype (as checked_symbols refuses symbols)."""
+    codes = np.asarray(edges)
+    if codes.size and codes.dtype.kind not in "biu":
+        raise DomainError("edge codes must be integers")
+    return codes.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class DBSubgraph:
     """An edge set inside the de Bruijn digraph of the given order."""
@@ -138,7 +147,7 @@ class DBSubgraph:
         at_least(self.k, 2, "alphabet size")
         at_least(self.order, 1, "order")
         _check_code_width(self.k, self.order + 1)
-        edges = np.asarray(self.edges, dtype=np.int64)
+        edges = _edge_codes(self.edges)
         if edges.ndim != 1:
             raise DomainError(f"edges must be 1-d, got shape {edges.shape}")
         object.__setattr__(self, "edges", edges)
@@ -288,7 +297,7 @@ class EulerianCircuit:
     start_vertex: tuple[int, ...]
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64)
+        edges = _edge_codes(self.edges)
         object.__setattr__(self, "edges", edges)
         if edges.size == 0:
             raise DomainError("an Eulerian circuit cannot be empty")
@@ -313,8 +322,8 @@ def _index_dtype(m: int) -> type:
     return np.int32 if m < 2**31 else np.int64
 
 
-# From this many elements on, one walk from sparse rulers lays cycles out in
-# O(m); below, doubling's log2(m) passes cost less (break-even ~150k edges).
+# From this many elements on, _cycle_layout walks from sparse rulers in O(m);
+# below, doubling's log2(m) passes cost less (break-even ~150k edges).
 _WALK_MIN = 1 << 17
 # Every multiple of the stride (a power of two) is a ruler.  The longest
 # gap between rulers on the golden cells spans about 10 strides, so a walk
@@ -484,10 +493,9 @@ def _spanning_forest(a: np.ndarray, b: np.ndarray,
 
 def _join_cycles(g: DBSubgraph):
     """(succ, pos, cuts): the successor of each edge, as edge indexes,
-    once the canonical cycle joining has left one cycle; from _WALK_MIN
-    edges on, each edge's slot in the pairing's _cycle_layout, and a mask
-    over the slots and m: cycle starts, and each slot after an edge whose
-    successor the joins changed (below, None and None).
+    once the canonical cycle joining has left one cycle; each edge's slot
+    in the pairing's _cycle_layout; and a mask over the slots and m: cycle
+    starts, and each slot after an edge whose successor the joins changed.
 
     Pairing the j-th in-edge with the j-th out-edge of every vertex, both
     in code order, splits the edges into cycles; the pairing exists
@@ -512,26 +520,18 @@ def _join_cycles(g: DBSubgraph):
                           f"differ, first {bad[0]}")
     succ = np.empty(m, dtype=index)
     np.put(succ, in_order, np.arange(m, dtype=index))
-    if m < _WALK_MIN:
-        pos = cuts = None
-        labels = _doubling_labels(succ)
-        first = labels == np.arange(m, dtype=index)
-    else:
-        pos, heads = _cycle_layout(succ)
-        cuts = np.zeros(m + 1, dtype=bool)
-        cuts[heads] = True
-        first = cuts[:m]
-    # Number the cycles 0, 1, ... in the order of their labels or slots.
-    number = np.cumsum(first, dtype=index) - 1
-    cycles = int(number[-1]) + 1
-    number = np.take(number, labels if pos is None else pos)
-    if cycles == 1:
+    pos, heads = _cycle_layout(succ)
+    cuts = np.zeros(m + 1, dtype=bool)
+    cuts[heads] = True
+    if heads.size == 1:
         return succ, pos, cuts
+    # Number the cycles 0, 1, ... in the order of their slots.
+    number = np.take(np.cumsum(cuts[:m], dtype=index) - 1, pos)
     # The in-edges at positions p and p + 1 lead to edges p and p + 1.
     at = np.flatnonzero((g.sources[1:] == g.sources[:-1])
                         & (number[1:] != number[:-1])).astype(index)
-    joins, comp = _spanning_forest(number[at], number[at + 1], cycles)
-    if joins.size != cycles - 1:
+    joins, comp = _spanning_forest(number[at], number[at + 1], heads.size)
+    if joins.size != heads.size - 1:
         sizes = np.bincount(np.take(comp, number))
         raise DisconnectedError(sorted(sizes.tolist(), reverse=True))
     at = at[joins]
@@ -541,15 +541,13 @@ def _join_cycles(g: DBSubgraph):
     run_end = np.roll(run_start, -1)
     succ[x] = at + 1
     succ[y[run_end]] = at[run_start]
-    if pos is not None:
-        cuts[np.take(pos, np.concatenate([x, y[run_end]])) + 1] = True
+    cuts[np.take(pos, np.concatenate([x, y[run_end]])) + 1] = True
     return succ, pos, cuts
 
 
 def _circuit_order(g: DBSubgraph) -> np.ndarray:
-    """The edge indexes of g in canonical circuit order, from edge 0:
-    below _WALK_MIN edges, the joined cycle ranked by doubling; from it
-    on, the pieces of the pairing's layout between cuts, which the joined
+    """The edge indexes of g in canonical circuit order, from edge 0: the
+    pieces of the pairing's layout between cuts, which the joined
     successors follow whole, ranked from the one at slot 0 and read out
     by one gather through the layout's inverse."""
     if g.edge_count == 0:
@@ -557,9 +555,6 @@ def _circuit_order(g: DBSubgraph) -> np.ndarray:
     succ, pos, cuts = _join_cycles(g)
     m, index = succ.size, succ.dtype
     order = np.empty_like(succ)
-    if pos is None:
-        order[_doubling_ranks(succ, 0, m)] = np.arange(m, dtype=index)
-        return order
     np.put(order, pos, np.arange(m, dtype=index))
     first = np.flatnonzero(cuts[:m]).astype(index)
     last = np.append(first[1:], m) - 1
@@ -601,10 +596,10 @@ def eulerian_circuit(g: DBSubgraph) -> EulerianCircuit:
     unbalanced vertices, a disconnected one a DisconnectedError with each
     component's edge count.
 
-    Every step is a few O(m) numpy passes: one walk from sparse rulers
-    lays the pairing's cycles out (doubling for small or adversarial
-    inputs), a Borůvka spanning forest picks the joins, and the circuit
-    is spliced from the pieces of that layout the joins leave whole.
+    Every step is a few O(m) numpy passes: the pairing's cycles are laid
+    out by one walk from sparse rulers (pointer doubling on small or
+    adversarial inputs), a Borůvka spanning forest picks the joins, and
+    at every size the circuit is spliced from the layout's pieces.
     """
     order = _circuit_order(g)
     start = code_to_tuple(int(g.sources[0]), g.k, g.order)

@@ -188,9 +188,9 @@ def test_connectivity_reads_only_the_joins(monkeypatch):
     def refuse(*args):
         raise AssertionError("is_connected ranked or built a circuit")
 
-    # The splice and the doubling ranks of the joined cycle.
+    # The splice and the circuit; the layout ranks within the pairing's
+    # cycles at every size, so _doubling_ranks may run.
     monkeypatch.setattr(graph, "_circuit_order", refuse)
-    monkeypatch.setattr(graph, "_doubling_ranks", refuse)
     monkeypatch.setattr(graph, "EulerianCircuit", refuse)
     assert is_connected(end_difference_graph(5, 3)) == (True, 1)
     assert is_connected(end_difference_graph(4, 4)) == (False, 6)
@@ -646,6 +646,7 @@ def test_joins_match_union_find_reference(k, order, seed, parts, walks):
     assume(g.edge_count)
     index = _index_dtype(g.edge_count)
     in_order, succ = _pairing(g)
+    pairing = succ.copy()
     try:
         want = _union_find_joins(succ, in_order, g.sources)
     except DisconnectedError as exc:
@@ -659,9 +660,17 @@ def test_joins_match_union_find_reference(k, order, seed, parts, walks):
         x, y = in_order[p], in_order[p + 1]
         succ[x], succ[y] = succ[y], succ[x]
     joined, pos, cuts = _join_cycles(g)
-    assert pos is None and cuts is None
-    assert joined.dtype == index
+    assert joined.dtype == pos.dtype == index
     assert np.array_equal(joined, succ)
+    # pos is the pairing's layout, a permutation of the slots; cuts marks
+    # each cycle's first slot and each slot after a changed successor.
+    layout, heads = _cycle_layout(pairing)
+    assert sorted(pos.tolist()) == list(range(g.edge_count))
+    assert np.array_equal(pos, layout)
+    moved = np.flatnonzero(joined != pairing)
+    assert cuts.size == g.edge_count + 1
+    assert set(np.flatnonzero(cuts).tolist()) == set(heads.tolist()) | set(
+        (pos[moved] + 1).tolist())
 
 
 def _pairing(g):
@@ -673,11 +682,12 @@ def _pairing(g):
     return in_order, succ
 
 
-def _assert_splice_matches_walk(g, stride, wide):
-    """_circuit_order from the pairing's layout, with every graph walked
-    and rulers every stride elements, equals a pure-Python walk of the
-    joined successors from edge 0, or raises the same DisconnectedError
-    as the doubling path.  Returns the splice cases the graph meets."""
+def _assert_splice_matches_walk(g, stride, wide, walk_min=2):
+    """_circuit_order from the pairing's layout, with graphs of walk_min
+    edges and up walked and rulers every stride elements, equals a
+    pure-Python walk of the joined successors from edge 0, or raises the
+    same DisconnectedError as the unpatched joins.  Returns the splice
+    cases the graph meets."""
     try:
         joined, _, _ = _join_cycles(g)
     except DisconnectedError as exc:
@@ -688,7 +698,7 @@ def _assert_splice_matches_walk(g, stride, wide):
             want.append(j)
             j = int(joined[j])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_WALK_MIN", 2)
+        mp.setattr(graph, "_WALK_MIN", walk_min)
         mp.setattr(graph, "_RULER_STRIDE", stride)
         if wide:
             mp.setattr(graph, "_index_dtype", lambda m: np.int64)
@@ -717,13 +727,16 @@ def _assert_splice_matches_walk(g, stride, wide):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
        st.sets(st.integers(0, 2), min_size=1), st.integers(1, 8),
-       st.sampled_from([2, 4, 64]))
+       st.sampled_from([2, 4, 64]), st.sampled_from([2, graph._WALK_MIN]))
 @pytest.mark.parametrize("wide", [False, True])
 def test_splice_matches_walk_of_joined_successors(wide, k, order, seed,
-                                                  parts, walks, stride):
+                                                  parts, walks, stride,
+                                                  walk_min):
+    # At the real _WALK_MIN these graphs are laid out by doubling, the
+    # path every table cell takes; at 2 every graph is walked.
     g = _split_union(k, order, seed, parts, walks)
     assume(g.edge_count)
-    _assert_splice_matches_walk(g, stride, wide)
+    _assert_splice_matches_walk(g, stride, wide, walk_min)
 
 
 def test_splice_reference_meets_every_case():

@@ -15,6 +15,7 @@ from oseq.constructions import low_pseudoweight_graph
 from oseq.errors import DomainError
 from oseq.graph import (
     DBSubgraph,
+    EulerianCircuit,
     build_subgraph,
     edge_graph_of_sequence,
     full_de_bruijn,
@@ -44,6 +45,7 @@ ORDER = "order must be at least 1, got 0"
 RANGE = "symbol out of range for alphabet size 3"
 SHAPE = "sequence must be a nonempty 1-d array of symbols"
 INTEGERS = "symbols must be integers"
+CODES = "edge codes must be integers"
 FLAT = np.array([[0, 1], [1, 2]])
 D = DomainError
 
@@ -81,6 +83,10 @@ ENTRY_POINTS = {
                       "edges must be 1-d, got shape (2, 2)"),
     "DBSubgraph-range": (lambda: DBSubgraph(3, 2, np.array([0, 27])), D,
                          "edge code out of range"),
+    "DBSubgraph-float": (lambda: DBSubgraph(2, 1, [0.5, 1.7]), D, CODES),
+    "DBSubgraph-strings": (lambda: DBSubgraph(2, 1, ["1", "2"]), D, CODES),
+    "EulerianCircuit-float": (lambda: EulerianCircuit(2, 1, [1.5, 2.2], (0,)), D,
+                              CODES),
     "build_subgraph-k": (lambda: build_subgraph(1, 2, [(0, 0, 0)]), D, ALPHABET),
     "build_subgraph-order": (lambda: build_subgraph(3, 0, [(0,)]), D, ORDER),
     "build_subgraph-2d": (lambda: build_subgraph(3, 2, np.zeros((2, 3, 2), int)),
@@ -146,6 +152,14 @@ def test_entry_point_rejects_bad_input(name):
         call()
     if message is not None:
         assert str(info.value) == message
+
+
+def test_edge_codes_accept_an_empty_list_and_bools():
+    # np.asarray([]) is float64, yet it holds no code that is not an integer.
+    assert DBSubgraph(2, 1, []).edge_count == 0
+    assert DBSubgraph(2, 1, np.array([False, True])).edges.tolist() == [0, 1]
+    with pytest.raises(DomainError, match="cannot be empty"):
+        EulerianCircuit(2, 1, [], (0,))
 
 
 def test_words_accept_numpy_bools():
