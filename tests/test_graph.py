@@ -186,7 +186,7 @@ def test_connectivity_refuses_unbalanced_graphs():
 
 def test_connectivity_reads_only_the_joins(monkeypatch):
     def refuse(*args):
-        raise AssertionError("is_connected ranked or built a circuit")
+        raise AssertionError("is_connected spliced or built a circuit")
 
     # The splice and the circuit; the layout ranks within the pairing's
     # cycles at every size, so _doubling_ranks may run.
