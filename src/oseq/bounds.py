@@ -10,9 +10,11 @@ brute enumeration.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, ResourceCapError
 from .graph import palindrome_free_de_bruijn
 from .tuples import (
     TupleKind,
@@ -52,6 +54,10 @@ class BoundReport:
 def _check_domain(k: int, n: int) -> None:
     at_least(k, 2, "alphabet size")
     at_least(n, 2, "window length")
+    # Before any power is taken: every bound must be printable as text.
+    digits = sys.int_info.default_max_str_digits
+    if n * math.log10(k) >= digits:
+        raise ResourceCapError(f"{k}**{n} has more than {digits} digits")
 
 
 def period_upper_bound(k: int, n: int) -> int:

@@ -27,10 +27,9 @@ from .graph import (
     DBSubgraph,
     _check_cap,
     _check_code_width,
-    _check_words,
     _circuit_order,
-    _codes_to_digits,
-    _digits_to_codes,
+    _index_dtype,
+    _read_only,
 )
 from .sequences import OrientableSequence
 from .tuples import ZkTuple, at_least, count_by_doubled_pseudoweight
@@ -93,23 +92,25 @@ def _end_rule_graph(k: int, n: int, t: int,
     block f, every middle word followed by each allowed last block, the
     last blocks sorted.  Each sum modulo k belongs to k**(t-1) blocks, so
     every first block allows the same number of last blocks.  Nothing of
-    size k**n is built, and the cap applies to the edges returned.
+    size k**n is built, the codes are made in the graph's dtype, and the
+    cap applies to the edges returned.
     """
     _check_code_width(k, n)
     _check_cap(differences.size * k ** (n - 1))
+    dtype = _index_dtype(k**n)
     sums = np.zeros(1, dtype=np.int64)
     for _ in range(t):
         sums = (sums[:, None] + np.arange(k)).ravel() % k
-    by_sum = np.argsort(sums, kind="stable").reshape(k, -1)
-    middles = np.arange(0, k ** (n - t), k**t, dtype=np.int64)
+    by_sum = np.argsort(sums, kind="stable").astype(dtype).reshape(k, -1)
+    middles = np.arange(0, k ** (n - t), k**t, dtype=dtype)
     block = middles.size * differences.size * by_sum.shape[1]
-    edges = np.empty(k**t * block, dtype=np.int64)
+    edges = np.empty(k**t * block, dtype=dtype)
     for s in range(k):
         last = np.sort(by_sum[(s + differences) % k], axis=None)
         for f in by_sum[s].tolist():
             np.add(middles[:, None], last + f * k ** (n - t),
                    out=edges[f * block:(f + 1) * block].reshape(middles.size, -1))
-    return DBSubgraph(k, n - 1, edges)
+    return DBSubgraph(k, n - 1, _read_only(edges))
 
 
 def end_difference_graph(k: int, n: int) -> DBSubgraph:
@@ -173,33 +174,50 @@ def low_pseudoweight_graph(k: int, n: int) -> DBSubgraph:
     """Edges: n-tuples with doubled pseudoweight below n*k.
 
     The resulting edge set is antinegasymmetric and balanced; it feeds the
-    lift below.
+    lift below.  Words grow symbol by symbol in code order; a prefix is
+    dropped once its weight plus 2 (the least weight) per symbol to come
+    reaches n*k.  The cap applies to the edges returned.
     """
     at_least(k, 2, "alphabet size")
     at_least(n, 2, "window length")
-    _check_words(k, n)
-    codes = np.arange(k**n, dtype=np.int64)
-    digits = _codes_to_digits(codes, k, n)
-    weights = np.where(digits == 0, k, 2 * digits).sum(axis=1)
-    return DBSubgraph(k, n - 1, codes[weights < n * k])
+    _check_code_width(k, n)
+    _check_cap(sum(count_by_doubled_pseudoweight(k, n, w) for w in range(n * k)))
+    symbols = np.arange(k, dtype=_index_dtype(k**n))
+    cost = np.where(symbols == 0, k, 2 * symbols).astype(np.min_scalar_type(2 * n * k))
+    codes, weights = np.zeros(1, symbols.dtype), np.zeros(1, cost.dtype)
+    for rest in range(n - 1, -1, -1):
+        weights = (weights[:, None] + cost).ravel()
+        keep = weights < n * k - 2 * rest
+        codes = (codes[:, None] * k + symbols).ravel()[keep]
+        weights = weights[keep]
+    return DBSubgraph(k, n - 1, _read_only(codes))
 
 
 def lempel_lift(g: DBSubgraph) -> DBSubgraph:
     """Preimage of an edge set under the difference map: k edges per edge,
-    one order up."""
+    one order up.  Row a of a (k, m) block gets, by Horner's rule, one
+    column at a time, the prefix sums of the edges' symbols plus a, modulo
+    k: the preimages starting with a, so sorting each row sorts the block.
+    """
     k = g.k
     length = g.order + 1
     _check_code_width(k, length + 1)
     _check_cap(k * g.edge_count)
-    digits = _codes_to_digits(g.edges, k, length)
-    prefix = np.zeros((g.edge_count, length + 1), dtype=np.int64)
-    np.cumsum(digits, axis=1, out=prefix[:, 1:])
-    prefix %= k
-    lifted = np.concatenate([
-        _digits_to_codes((prefix + a) % k, k) for a in range(k)
-    ])
-    lifted.sort()
-    return DBSubgraph(k, length, lifted)
+    dtype = _index_dtype(k ** (length + 1))
+    edges = g.edges.astype(dtype, copy=False)
+    lifted = np.repeat(np.arange(k, dtype=dtype)[:, None], g.edge_count, axis=1)
+    prefix, symbol = np.zeros_like(edges), np.empty_like(edges)
+    for j in range(length - 1, -1, -1):
+        # edges // k**j is the prefix's last symbol modulo k.
+        np.floor_divide(edges, k**j, out=symbol)
+        prefix += symbol
+        prefix %= k
+        for a, row in enumerate(lifted):
+            row *= k
+            row += np.remainder(np.add(prefix, a, out=symbol), k, out=symbol)
+    del prefix, symbol  # freed before the graph checks the edges' order
+    lifted.sort(axis=1)
+    return DBSubgraph(k, length, _read_only(lifted.ravel()))
 
 
 def lifted_low_pseudoweight_graph(k: int, n: int) -> DBSubgraph:

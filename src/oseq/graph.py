@@ -1,17 +1,17 @@
 """Explicit subgraphs of de Bruijn digraphs over Z_k.
 
-A subgraph of order m stores its edges as sorted int64 codes of
-(m+1)-tuples in base k, most significant symbol first, so lexicographic
-order on tuples coincides with numeric order on codes.  Vertices are never
-stored: a vertex exists exactly when it occurs as the length-m prefix or
-suffix of some edge.
+A subgraph of order m stores its edges as sorted codes of (m+1)-tuples in
+base k, most significant symbol first, so lexicographic order on tuples
+coincides with numeric order on codes; int32 codes while k**(m+1) < 2**31.
+Vertices are never stored: a vertex exists exactly when it occurs as the
+length-m prefix or suffix of some edge.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,37 +50,14 @@ def _check_code_width(k: int, length: int) -> None:
         raise ResourceCapError(f"{k}**{length} does not fit in 64-bit codes")
 
 
-def _check_words(k: int, length: int) -> None:
-    """All k**length words fit in 64-bit codes and under the edge cap."""
-    _check_code_width(k, length)
-    _check_cap(k**length)
-
-
 def tuple_to_code(symbols: Sequence[int], k: int) -> int:
     """Base-k code of a word, most significant symbol first."""
-    code = 0
-    for s in symbols:
-        code = code * k + int(s)
-    return code
+    return reduce(lambda code, s: code * k + int(s), symbols, 0)
 
 
 def code_to_tuple(code: int, k: int, length: int) -> tuple[int, ...]:
     """Inverse of tuple_to_code for words of known length."""
-    out = []
-    for _ in range(length):
-        code, r = divmod(code, k)
-        out.append(r)
-    return tuple(reversed(out))
-
-
-def _codes_to_digits(codes: np.ndarray, k: int, length: int) -> np.ndarray:
-    """Matrix of symbols, one row per code, most significant first."""
-    digits = np.empty((codes.size, length), dtype=np.int64)
-    rest = codes.astype(np.int64, copy=True)
-    for i in range(length - 1, -1, -1):
-        digits[:, i] = rest % k
-        rest //= k
-    return digits
+    return tuple(int(code) // k**i % k for i in range(length - 1, -1, -1))
 
 
 def _digits_to_codes(digits: np.ndarray, k: int,
@@ -96,18 +73,20 @@ def _digits_to_codes(digits: np.ndarray, k: int,
 
 def _code_tuples(codes: np.ndarray, k: int, length: int) -> list[tuple[int, ...]]:
     """Codes as plain symbol tuples, most significant symbol first."""
-    return list(map(tuple, _codes_to_digits(codes, k, length).tolist()))
+    return list(zip(*(d.tolist() for d in np.unravel_index(codes, (k,) * length))))
 
 
 def _reverse_codes(codes: np.ndarray, k: int, length: int,
                    negate: bool = False) -> np.ndarray:
-    """Codes of the reversed words, each symbol negated modulo k if asked:
-    reweight digits in opposite order."""
-    rev = np.zeros(codes.size, dtype=np.int64)
-    rest = codes.astype(np.int64, copy=True)
+    """Codes of the reversed words, each symbol negated modulo k if asked,
+    in _index_dtype(k**length): reweight digits in opposite order."""
+    dtype = _index_dtype(k**length)
+    rev = np.zeros(codes.size, dtype=dtype)
+    rest = codes.astype(dtype)
     for _ in range(length):
         digit = rest % k
-        rev = rev * k + ((k - digit) % k if negate else digit)
+        rev *= k
+        rev += (k - digit) % k if negate else digit
         rest //= k
     return rev
 
@@ -125,18 +104,34 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def _edge_codes(edges) -> np.ndarray:
-    """Edge codes as int64, refusing a nonempty array that is not of
-    integer or bool dtype (as checked_symbols refuses symbols)."""
+def _edge_codes(edges, k: int, length: int) -> np.ndarray:
+    """Codes below k**length as a read-only 1-d array in _index_dtype(k**length),
+    range-checked before any narrowing cast; integer or bool dtype only (as
+    checked_symbols).  A read-only array of that dtype, as the builders hand
+    over, is kept as is; any other is copied, so a caller's stays theirs."""
     codes = np.asarray(edges)
     if codes.size and codes.dtype.kind not in "biu":
         raise DomainError("edge codes must be integers")
-    return codes.astype(np.int64, copy=False)
+    if codes.ndim != 1:
+        raise DomainError(f"edges must be 1-d, got shape {codes.shape}")
+    if codes.size and (int(codes.min()) < 0 or int(codes.max()) >= k**length):
+        raise DomainError("edge code out of range")
+    codes = codes.astype(_index_dtype(k**length),
+                         copy=codes is edges and codes.flags.writeable)
+    codes.flags.writeable = False
+    return codes
+
+
+def _read_only(codes: np.ndarray) -> np.ndarray:
+    """codes, marked read-only so that a graph takes them uncopied."""
+    codes.flags.writeable = False
+    return codes
 
 
 @dataclass(frozen=True, eq=False)
 class DBSubgraph:
-    """An edge set inside the de Bruijn digraph of the given order."""
+    """An edge set inside the de Bruijn digraph of the given order; edges
+    become read-only codes in _index_dtype(k**(order+1)) (see _edge_codes)."""
 
     k: int
     order: int
@@ -147,16 +142,10 @@ class DBSubgraph:
         at_least(self.k, 2, "alphabet size")
         at_least(self.order, 1, "order")
         _check_code_width(self.k, self.order + 1)
-        edges = _edge_codes(self.edges)
-        if edges.ndim != 1:
-            raise DomainError(f"edges must be 1-d, got shape {edges.shape}")
+        edges = _edge_codes(self.edges, self.k, self.order + 1)
         object.__setattr__(self, "edges", edges)
-        if edges.size:
-            if edges[0] < 0 or edges[-1] >= self.k ** (self.order + 1):
-                raise DomainError("edge code out of range")
-            if np.any(np.diff(edges) <= 0):
-                raise DomainError("edge codes must be strictly increasing")
-        edges.flags.writeable = False
+        if np.any(edges[1:] <= edges[:-1]):
+            raise DomainError("edge codes must be strictly increasing")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DBSubgraph):
@@ -188,19 +177,14 @@ class DBSubgraph:
     @cached_property
     def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
         verts = self.vertex_codes
-        out_deg = np.bincount(np.searchsorted(verts, self.sources),
-                              minlength=verts.size)
-        in_deg = np.bincount(np.searchsorted(verts, self.targets),
-                             minlength=verts.size)
-        return in_deg, out_deg
+        return tuple(np.bincount(np.searchsorted(verts, ends), minlength=verts.size)
+                     for ends in (self.targets, self.sources))
 
     def degree_map(self) -> dict[tuple[int, ...], tuple[int, int]]:
         """Vertex tuple -> (in-degree, out-degree), materialized vertices only."""
         in_deg, out_deg = self._degrees
-        return {
-            code_to_tuple(int(v), self.k, self.order): (int(i), int(o))
-            for v, i, o in zip(self.vertex_codes, in_deg, out_deg)
-        }
+        return {code_to_tuple(int(v), self.k, self.order): (int(i), int(o))
+                for v, i, o in zip(self.vertex_codes, in_deg, out_deg)}
 
     def edge_tuples(self) -> list[tuple[int, ...]]:
         """All edges as plain symbol tuples, in lexicographic order."""
@@ -231,8 +215,10 @@ def full_de_bruijn(k: int, order: int) -> DBSubgraph:
     """Every (order+1)-tuple over Z_k as an edge."""
     at_least(k, 2, "alphabet size")
     at_least(order, 1, "order")
-    _check_words(k, order + 1)
-    return DBSubgraph(k, order, np.arange(k ** (order + 1), dtype=np.int64))
+    _check_code_width(k, order + 1)
+    size = k ** (order + 1)
+    _check_cap(size)
+    return DBSubgraph(k, order, _read_only(np.arange(size, dtype=_index_dtype(size))))
 
 
 def palindrome_free_de_bruijn(k: int, order: int) -> DBSubgraph:
@@ -243,7 +229,7 @@ def palindrome_free_de_bruijn(k: int, order: int) -> DBSubgraph:
     """
     g = full_de_bruijn(k, order)
     rev = _reverse_codes(g.edges, k, order + 1)
-    return DBSubgraph(k, order, g.edges[g.edges != rev])
+    return DBSubgraph(k, order, _read_only(g.edges[g.edges != rev]))
 
 
 _Witness = tuple[tuple[int, ...], tuple[int, ...]]
@@ -282,9 +268,8 @@ def is_balanced(g: DBSubgraph) -> tuple[bool, list[tuple[int, ...]]]:
     """Every materialized vertex needs equal in- and out-degree."""
     in_deg, out_deg = g._degrees
     bad = np.flatnonzero(in_deg != out_deg)
-    return bad.size == 0, [
-        code_to_tuple(int(g.vertex_codes[i]), g.k, g.order) for i in bad
-    ]
+    return bad.size == 0, [code_to_tuple(int(g.vertex_codes[i]), g.k, g.order)
+                           for i in bad]
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,7 +282,7 @@ class EulerianCircuit:
     start_vertex: tuple[int, ...]
 
     def __post_init__(self):
-        edges = _edge_codes(self.edges)
+        edges = _edge_codes(self.edges, self.k, self.order + 1)
         object.__setattr__(self, "edges", edges)
         if edges.size == 0:
             raise DomainError("an Eulerian circuit cannot be empty")
@@ -307,7 +292,6 @@ class EulerianCircuit:
             raise DomainError("consecutive circuit edges do not chain")
         if tuple_to_code(self.start_vertex, self.k) != int(edges[0]) // self.k:
             raise DomainError("start vertex does not match the first edge")
-        edges.flags.writeable = False
 
     def __len__(self) -> int:
         return int(self.edges.size)
@@ -318,7 +302,7 @@ class EulerianCircuit:
 
 def _index_dtype(m: int) -> type:
     """int32 for values below m while they fit: edge indexes (OSEQ_EDGE_CAP
-    may allow more) and window codes below k**n."""
+    may allow more), edge codes below k**(order+1), window codes below k**n."""
     return np.int32 if m < 2**31 else np.int64
 
 
@@ -439,7 +423,7 @@ def _doubling_ranks(succ: np.ndarray, first: np.ndarray | int,
 def _spanning_forest(a: np.ndarray, b: np.ndarray,
                      nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimum spanning forest of the multigraph on nodes 0..nodes-1 whose
-    edge i joins a[i] and b[i] and weighs i, by Borůvka's rounds.
+    edge i joins a[i] != b[i] and weighs i, by Borůvka's rounds.
 
     Each round, every component hooks onto its lightest edge leaving it;
     the weights are distinct, so those edges belong to the one minimum
@@ -452,19 +436,17 @@ def _spanning_forest(a: np.ndarray, b: np.ndarray,
     comp = np.arange(nodes, dtype=index)
     count = nodes
     edge = np.arange(a.size, dtype=index)
+    # Each node is its own component and every edge leaves it, so the
+    # first round starts from the edges as given.
+    ca, cb = a, b
     picked = []
-    while True:
-        ca, cb = np.take(comp, a), np.take(comp, b)
-        keep = np.flatnonzero(ca != cb)
-        if count * count <= keep.size:
-            pair = (np.minimum(ca, cb)[keep] * count
-                    + np.maximum(ca, cb)[keep])
-            lightest = np.full(count * count, keep.size, dtype=index)
-            np.minimum.at(lightest, pair, np.arange(keep.size, dtype=index))
-            keep = keep[np.sort(lightest[lightest < keep.size])]
-        if keep.size == 0:
-            break
-        a, b, edge, ca, cb = (x[keep] for x in (a, b, edge, ca, cb))
+    while edge.size:
+        if count * count <= edge.size:
+            pair = np.minimum(ca, cb) * count + np.maximum(ca, cb)
+            lightest = np.full(count * count, edge.size, dtype=index)
+            np.minimum.at(lightest, pair, np.arange(edge.size, dtype=index))
+            keep = np.sort(lightest[lightest < edge.size])
+            a, b, edge, ca, cb = (x[keep] for x in (a, b, edge, ca, cb))
         # Edges stay in weight order, so the position is the weight.
         lightest = np.full(count, edge.size, dtype=index)
         rank = np.arange(edge.size, dtype=index)
@@ -487,6 +469,9 @@ def _spanning_forest(a: np.ndarray, b: np.ndarray,
         comp = np.take(np.take(renumber, parent), comp)
         count = int(renumber[-1]) + 1
         picked.append(edge[_sorted_unique(best)])
+        ca, cb = np.take(comp, a), np.take(comp, b)
+        keep = np.flatnonzero(ca != cb)
+        a, b, edge, ca, cb = (x[keep] for x in (a, b, edge, ca, cb))
     joins = np.sort(np.concatenate(picked)) if picked else edge[:0]
     return joins, comp
 
@@ -603,7 +588,7 @@ def eulerian_circuit(g: DBSubgraph) -> EulerianCircuit:
     """
     order = _circuit_order(g)
     start = code_to_tuple(int(g.sources[0]), g.k, g.order)
-    return EulerianCircuit(g.k, g.order, g.edges[order], start)
+    return EulerianCircuit(g.k, g.order, _read_only(g.edges[order]), start)
 
 
 def circuit_to_sequence(c: EulerianCircuit) -> np.ndarray:
@@ -717,4 +702,4 @@ def edge_graph_of_sequence(symbols: np.ndarray | Sequence[int], n: int,
         raise DomainError(
             f"sequence repeats a window: only {unique.size} distinct "
             f"windows in a period of {codes.size}")
-    return DBSubgraph(k, n - 1, unique)
+    return DBSubgraph(k, n - 1, _read_only(unique))

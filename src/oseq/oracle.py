@@ -163,8 +163,13 @@ def _first_at(ids: np.ndarray, positions: np.ndarray,
               queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each query id, the first position holding it in a stably
     sorted, nonempty id table, and whether it occurs at all (the
-    position is meaningless where it does not)."""
-    at = np.searchsorted(ids, queries)
+    position is meaningless where it does not).  Over more than one query
+    (row), the search runs on sorted keys, several times faster."""
+    flat = queries.ravel()
+    order = np.argsort(flat) if len(queries) > 1 else slice(None)
+    at = np.empty(flat.size, dtype=np.intp)
+    at[order] = np.searchsorted(ids, flat[order])
+    at = at.reshape(queries.shape)
     np.minimum(at, ids.size - 1, out=at)
     return positions[at], ids[at] == queries
 

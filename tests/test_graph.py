@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oseq import graph, oracle
-from oseq.constructions import end_difference_graph
+from oseq.constructions import end_difference_graph, lempel_lift, lempel_preimages
 from oseq.errors import DisconnectedError, DomainError, ResourceCapError
 from oseq.graph import (
     DBSubgraph,
@@ -308,10 +308,97 @@ def test_eulerian_circuit_preconditions():
     ([0, 4, 4], "edge codes must be strictly increasing"),
     ([-1, 3], "edge code out of range"),
     ([0, 27], "edge code out of range"),
+    # Cast to int32 first, these would read [0, 1, 5]: the range check
+    # comes before any narrowing cast.
+    ([0, 2**32 + 1, 5], "edge code out of range"),
 ])
 def test_subgraph_rejects_bad_edge_codes(edges, message):
     with pytest.raises(DomainError, match=message):
         DBSubgraph(3, 2, np.array(edges))
+
+
+def test_subgraph_checks_order_after_narrowing_unsigned_codes():
+    # A difference of uint64 codes would wrap instead of going negative.
+    with pytest.raises(DomainError, match="strictly increasing"):
+        DBSubgraph(3, 2, np.array([5, 3], dtype=np.uint64))
+    assert DBSubgraph(3, 2, np.array([3, 5], dtype=np.uint64)).edges.dtype == np.int32
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_graphs_copy_a_callers_array(dtype):
+    # A writeable array is the caller's: it stays writeable and unshared.
+    caller = np.arange(4, dtype=dtype)
+    walk = np.array([0, 1, 3, 2], dtype=dtype)
+    g = DBSubgraph(2, 1, caller)
+    c = EulerianCircuit(2, 1, walk, (0,))
+    for given, kept in ((caller, g.edges), (walk, c.edges)):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(given, kept)
+        assert kept.dtype == np.int32
+        given[0] = 1
+    assert g.edges.tolist() == [0, 1, 2, 3] and c.edges.tolist() == [0, 1, 3, 2]
+    # A read-only array is handed over uncopied when it has the graph's
+    # dtype, as the builders hand theirs over; an int64 one is narrowed.
+    frozen = np.arange(4, dtype=dtype)
+    frozen.flags.writeable = False
+    assert (DBSubgraph(2, 1, frozen).edges is frozen) == (dtype == np.int32)
+
+
+@pytest.mark.parametrize("k,order,dtype", [
+    (2, 29, np.int32), (2, 30, np.int64), (3, 18, np.int32), (3, 19, np.int64),
+    (9, 8, np.int32), (9, 9, np.int64),
+])
+def test_edge_codes_are_int32_below_2_to_the_31(k, order, dtype):
+    # A declared change: edge codes used to be int64 at every size.
+    top = k ** (order + 1) - 1
+    g = DBSubgraph(k, order, np.array([0, top]))
+    assert g.edges.dtype == g.sources.dtype == g.targets.dtype == dtype
+    assert g.vertex_codes.dtype == dtype
+    assert g.edges.tolist() == [0, top]
+
+
+def _reversal_reference(codes, k, length, negate):
+    """is_antisymmetric's or is_antinegasymmetric's answer, over Python ints."""
+    have = set(codes)
+    for e in codes:
+        word = code_to_tuple(e, k, length)
+        image = tuple((-s) % k if negate else s for s in word[::-1])
+        if tuple_to_code(image, k) in have:
+            return False, (word, image)
+    return True, None
+
+
+# (k, order): edge codes just below 2**31 (int32), or past it (int64).
+WIDTH_CASES = [(2, 29), (2, 30), (3, 18), (3, 19)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WIDTH_CASES), st.integers(0, 2**32 - 1), st.integers(0, 40))
+def test_edge_sets_at_the_int32_boundary_match_python_ints(case, seed, extra):
+    k, order = case
+    length = order + 1
+    rng = np.random.default_rng(seed)
+    # Mostly the top symbol, so that most codes lie near k**length.
+    symbols = rng.integers(0, k, length + extra + 1)
+    symbols[rng.random(symbols.size) < 0.8] = k - 1
+    try:
+        g = edge_graph_of_sequence(symbols, length, k)
+    except DomainError:
+        assume(False)
+    codes = g.edges.tolist()
+    assert g.edges.dtype == (np.int32 if k**length < 2**31 else np.int64)
+    assert is_antisymmetric(g) == _reversal_reference(codes, k, length, False)
+    assert is_antinegasymmetric(g) == _reversal_reference(codes, k, length, True)
+    c = eulerian_circuit(g)
+    walk = _reference_circuit(g)
+    assert c.edges.dtype == g.edges.dtype and c.edges.tolist() == walk
+    assert EulerianCircuit(k, order, np.array(walk), c.start_vertex).edges.tolist() == walk
+    assert circuit_to_sequence(c).tolist() == [e // k**order for e in walk]
+    lifted = lempel_lift(g)
+    assert lifted.edges.dtype == (np.int32 if k ** (length + 1) < 2**31 else np.int64)
+    assert lifted.edges.tolist() == sorted(
+        tuple_to_code(p.symbols, k) for e in codes
+        for p in lempel_preimages(ZkTuple(k, code_to_tuple(e, k, length))))
 
 
 def test_circuit_rejects_broken_invariants():
@@ -597,6 +684,9 @@ def _kruskal(a, b, nodes):
              max_size=120))))
 def test_spanning_forest_matches_kruskal(case):
     nodes, pairs = case
+    # Every edge joins two nodes, as between the cycles that _join_cycles
+    # passes: the first round takes the edges as given.
+    pairs = [(u, v) for u, v in pairs if u != v]
     a = np.array([u for u, _ in pairs], dtype=np.int32)
     b = np.array([v for _, v in pairs], dtype=np.int32)
     joins, comp = _spanning_forest(a, b, nodes)

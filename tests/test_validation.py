@@ -12,7 +12,7 @@ import pytest
 from oseq.bounds import empirical_exclusion_audit, ledger_bound, period_upper_bound
 from oseq.cli import main
 from oseq.constructions import low_pseudoweight_graph
-from oseq.errors import DomainError
+from oseq.errors import DomainError, ResourceCapError
 from oseq.graph import (
     DBSubgraph,
     EulerianCircuit,
@@ -73,6 +73,11 @@ ENTRY_POINTS = {
     "period_upper_bound-n": (lambda: period_upper_bound(3, 1), D, WINDOW),
     "ledger_bound-k": (lambda: ledger_bound(1, 3), D, ALPHABET),
     "ledger_bound-n": (lambda: ledger_bound(3, 1), D, WINDOW),
+    "period_upper_bound-digits": (lambda: period_upper_bound(10, 4300),
+                                  ResourceCapError,
+                                  "10**4300 has more than 4300 digits"),
+    "ledger_bound-digits": (lambda: ledger_bound(2, 10**9), ResourceCapError,
+                            "2**1000000000 has more than 4300 digits"),
     "empirical_exclusion_audit-k": (
         lambda: empirical_exclusion_audit(1, 3), D, ALPHABET),
     "empirical_exclusion_audit-n": (
@@ -230,6 +235,8 @@ CLI_CASES = [
     (["bound", "--k", "5", "--n", "1"], 1, "error:"),
     (["bound", "--k", "0", "--n", "0", "--ledger"], 1, "error:"),
     (["bound", "--k", "five", "--n", "4"], 1, "usage:"),
+    (["bound", "--k", "10", "--n", "10000000"], 1, "error:"),
+    (["bound", "--k", "3", "--n", str(10**30), "--ledger"], 1, "error:"),
     (["table", "--which", "bounds", "--max-k", "1"], 1, "error:"),
     (["table", "--which", "a-periods", "--max-n", "1"], 1, "error:"),
     (["table", "--which", "nope"], 1, "usage:"),
@@ -249,6 +256,15 @@ def test_cli_exit_code_and_stderr(tmp_path, capsys, argv, code, prefix):
     assert err.startswith(prefix)
     assert (err == "") == (prefix == "")
     assert "Traceback" not in err
+
+
+def test_bound_prints_up_to_the_digit_limit(capsys):
+    # 10**4299 has 4300 digits, the most a bound may span; one more is refused.
+    assert main(["bound", "--k", "10", "--n", "4299", "--ledger"]) == 0
+    bound = capsys.readouterr().out.splitlines()[0]
+    assert int(bound) == period_upper_bound(10, 4299) and len(bound) == 4299
+    assert main(["bound", "--k", "10", "--n", "4300"]) == 1
+    assert capsys.readouterr().err == "error: 10**4300 has more than 4300 digits\n"
 
 
 @pytest.mark.parametrize("cap,message", [
