@@ -56,7 +56,7 @@ def _check_domain(k: int, n: int) -> None:
     at_least(n, 2, "window length")
     # Before any power is taken: every bound must be printable as text.
     digits = sys.int_info.default_max_str_digits
-    if n * math.log10(k) >= digits:
+    if n >= digits / math.log10(k):  # an int n too large for a float compares exactly
         raise ResourceCapError(f"{k}**{n} has more than {digits} digits")
 
 

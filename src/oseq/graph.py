@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,12 +52,19 @@ def _check_code_width(k: int, length: int) -> None:
 
 def tuple_to_code(symbols: Sequence[int], k: int) -> int:
     """Base-k code of a word, most significant symbol first."""
-    return reduce(lambda code, s: code * k + int(s), symbols, 0)
+    code = 0
+    for s in symbols:
+        code = code * k + int(s)
+    return code
 
 
 def code_to_tuple(code: int, k: int, length: int) -> tuple[int, ...]:
     """Inverse of tuple_to_code for words of known length."""
-    return tuple(int(code) // k**i % k for i in range(length - 1, -1, -1))
+    out = []
+    for _ in range(length):
+        code, r = divmod(code, k)
+        out.append(r)
+    return tuple(reversed(out))
 
 
 def _digits_to_codes(digits: np.ndarray, k: int,
@@ -177,14 +184,19 @@ class DBSubgraph:
     @cached_property
     def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
         verts = self.vertex_codes
-        return tuple(np.bincount(np.searchsorted(verts, ends), minlength=verts.size)
-                     for ends in (self.targets, self.sources))
+        out_deg = np.bincount(np.searchsorted(verts, self.sources),
+                              minlength=verts.size)
+        in_deg = np.bincount(np.searchsorted(verts, self.targets),
+                             minlength=verts.size)
+        return in_deg, out_deg
 
     def degree_map(self) -> dict[tuple[int, ...], tuple[int, int]]:
         """Vertex tuple -> (in-degree, out-degree), materialized vertices only."""
         in_deg, out_deg = self._degrees
-        return {code_to_tuple(int(v), self.k, self.order): (int(i), int(o))
-                for v, i, o in zip(self.vertex_codes, in_deg, out_deg)}
+        return {
+            code_to_tuple(int(v), self.k, self.order): (int(i), int(o))
+            for v, i, o in zip(self.vertex_codes, in_deg, out_deg)
+        }
 
     def edge_tuples(self) -> list[tuple[int, ...]]:
         """All edges as plain symbol tuples, in lexicographic order."""
@@ -268,8 +280,9 @@ def is_balanced(g: DBSubgraph) -> tuple[bool, list[tuple[int, ...]]]:
     """Every materialized vertex needs equal in- and out-degree."""
     in_deg, out_deg = g._degrees
     bad = np.flatnonzero(in_deg != out_deg)
-    return bad.size == 0, [code_to_tuple(int(g.vertex_codes[i]), g.k, g.order)
-                           for i in bad]
+    return bad.size == 0, [
+        code_to_tuple(int(g.vertex_codes[i]), g.k, g.order) for i in bad
+    ]
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,6 +78,10 @@ ENTRY_POINTS = {
                                   "10**4300 has more than 4300 digits"),
     "ledger_bound-digits": (lambda: ledger_bound(2, 10**9), ResourceCapError,
                             "2**1000000000 has more than 4300 digits"),
+    # n past the float range: the digit check must not convert it.
+    "period_upper_bound-float-n": (lambda: period_upper_bound(3, 10**400),
+                                   ResourceCapError,
+                                   f"3**{10**400} has more than 4300 digits"),
     "empirical_exclusion_audit-k": (
         lambda: empirical_exclusion_audit(1, 3), D, ALPHABET),
     "empirical_exclusion_audit-n": (
@@ -237,6 +241,7 @@ CLI_CASES = [
     (["bound", "--k", "five", "--n", "4"], 1, "usage:"),
     (["bound", "--k", "10", "--n", "10000000"], 1, "error:"),
     (["bound", "--k", "3", "--n", str(10**30), "--ledger"], 1, "error:"),
+    (["bound", "--k", "3", "--n", str(10**400)], 1, "error:"),
     (["table", "--which", "bounds", "--max-k", "1"], 1, "error:"),
     (["table", "--which", "a-periods", "--max-n", "1"], 1, "error:"),
     (["table", "--which", "nope"], 1, "usage:"),
