@@ -163,13 +163,8 @@ def _first_at(ids: np.ndarray, positions: np.ndarray,
               queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each query id, the first position holding it in a stably
     sorted, nonempty id table, and whether it occurs at all (the
-    position is meaningless where it does not).  The search runs on the
-    queries in sorted order and scatters the answers back."""
-    flat = queries.ravel()
-    order = np.argsort(flat)
-    at = np.empty(flat.size, dtype=np.intp)
-    at[order] = np.searchsorted(ids, flat[order])
-    at = at.reshape(queries.shape)
+    position is meaningless where it does not)."""
+    at = np.searchsorted(ids, queries)
     np.minimum(at, ids.size - 1, out=at)
     return positions[at], ids[at] == queries
 
