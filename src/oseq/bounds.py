@@ -51,13 +51,17 @@ class BoundReport:
     ledger_terms: dict[str, int]
 
 
+def _digit_limit(k: int) -> int:  # the least n with k**n too long to print
+    return math.ceil(sys.int_info.default_max_str_digits / math.log10(k))
+
+
 def _check_domain(k: int, n: int) -> None:
     at_least(k, 2, "alphabet size")
     at_least(n, 2, "window length")
     # Before any power is taken: every bound must be printable as text.
-    digits = sys.int_info.default_max_str_digits
-    if n >= digits / math.log10(k):  # an int n too large for a float compares exactly
-        raise ResourceCapError(f"{k}**{n} has more than {digits} digits")
+    if n >= _digit_limit(k):
+        raise ResourceCapError(
+            f"{k}**{n} has more than {sys.int_info.default_max_str_digits} digits")
 
 
 def period_upper_bound(k: int, n: int) -> int:

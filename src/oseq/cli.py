@@ -88,14 +88,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_sequence(path: str, n_override: int | None = None,
-                   k_override: int | None = None):
-    parsed = read_sequence_file(path)
-    n = parsed.n if n_override is None else n_override
-    k = parsed.k if k_override is None else k_override
-    return parsed, n, k
-
-
 def _cmd_generate(args) -> int:
     recipe = ConstructionRecipe(Method(args.method), args.k, args.n, t=args.t)
     try:
@@ -113,7 +105,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    parsed, n, k = _load_sequence(args.path, args.n, args.k)
+    parsed = read_sequence_file(args.path)
+    n = parsed.n if args.n is None else args.n
+    k = parsed.k if args.k is None else args.k
     verdict = oracle.verify(parsed.symbols, n, k)
     if verdict.accepted:
         print(f"ok: k={k} n={n} period={parsed.period}")
@@ -155,7 +149,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_locate(args) -> int:
-    parsed, n, k = _load_sequence(args.path)
+    parsed = read_sequence_file(args.path)
+    n, k = parsed.n, parsed.k
     try:
         window = parse_symbols(args.window, k)
     except ValueError as exc:

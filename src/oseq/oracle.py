@@ -28,6 +28,7 @@ from .tuples import at_least, checked_word
 
 EXHAUSTIVE_STATE_CAP = 256
 DEFAULT_NODE_BUDGET = 5_000_000
+_MEMO_CAP = 4096  # search states in exhaustive_max_period's table
 
 
 class Direction(str, Enum):
@@ -278,6 +279,11 @@ def exhaustive_max_period(k: int, n: int,
     reads its mask once, on entry, kept exact by restoring every mask
     before a frame resumes, and takes edges lowest bit first: the order
     behind the witness and node count that tests/test_oracle.py pins.
+
+    Under one start edge, a frame's end vertex and trail edge pairs fix its
+    subtree; a frame with two or more free edges credits a subtree held in
+    the table whole, if its node count fits.  node_budget and nodes_expanded
+    count DFS tree nodes, credited ones included, so they bound the work.
     """
     at_least(k, 2, "alphabet size")
     at_least(n, 2, "window length")
@@ -289,20 +295,30 @@ def exhaustive_max_period(k: int, n: int,
     vbase = k ** (n - 1)
     rev = _reverse_codes(np.arange(total), k, n).tolist()
     bound = period_upper_bound(k, n)
-    # Per edge: itself, the vertex and bit of its reversal, and its head.
-    edges = [(e, r // k, 1 << r % k, e % vbase) for e, r in enumerate(rev)]
+    # A search state is the end vertex plus, above it, bit min(e, r) for each
+    # edge e on the trail and its reversal r.  Per edge: itself, the vertex
+    # and bit of its reversal, its head, and the step it adds to the state.
+    edges = [(e, r // k, 1 << r % k, e % vbase,
+              (1 << vbase.bit_length() + min(e, r)) + e % vbase - e // k)
+             for e, r in enumerate(rev)]
     avail = [sum(1 << d for d in range(k) if rev[v * k + d] != v * k + d)
              for v in range(vbase)]
-    walk = [0] * total
+    walk, memo = [0] * total, {}  # memo: search state -> subtree node count
     best, best_walk, nodes, start_v, stopped = 0, None, 0, 0, False
 
-    def dfs(v: int, depth: int) -> None:
+    def dfs(v: int, depth: int, state: int) -> None:
         nonlocal best, best_walk, nodes
         if v == start_v and depth > best:
             best, best_walk = depth, walk[:depth]
             if best >= bound:
                 raise _StopSearch
         mask = rest = avail[v]
+        if branches := mask & (mask - 1):  # two or more free edges
+            count = memo.get(state, node_budget + 1)  # absent: never fits
+            if nodes + count <= node_budget:
+                nodes += count
+                return
+            first = nodes
         base = v * k - 1
         while rest:
             bit = rest & -rest
@@ -310,14 +326,18 @@ def exhaustive_max_period(k: int, n: int,
             if nodes >= node_budget:
                 raise _StopSearch
             nodes += 1
-            e, rv, rbit, head = edges[base + bit.bit_length()]
+            e, rv, rbit, head, step = edges[base + bit.bit_length()]
             avail[v] = mask ^ bit
             saved = avail[rv]
             avail[rv] = saved & ~rbit
             walk[depth] = e
-            dfs(head, depth + 1)
+            dfs(head, depth + 1, state + step)
             avail[rv] = saved
             avail[v] = mask
+        if branches:
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[state] = nodes - first
 
     try:
         for f in range(total):
@@ -325,13 +345,15 @@ def exhaustive_max_period(k: int, n: int,
                 break
             avail[f // k] &= ~(1 << f % k)  # f is no longer above the start
             if rev[f] > f:  # not a palindrome, nor a mirror of a smaller start
-                _, rv, rbit, head = edges[f]
+                _, rv, rbit, head, step = edges[f]
                 avail[rv] ^= rbit
                 walk[0], start_v = f, f // k
-                dfs(head, 1)
+                memo.clear()
+                dfs(head, 1, start_v + step)
                 avail[rv] ^= rbit
     except _StopSearch:
         stopped = True
+    del dfs  # it refers to itself: free the table now, not at the next gc
     witness = tuple(e // vbase for e in best_walk) if best_walk else None
     return SearchOutcome(k, n, best, witness, exact=best >= bound or not stopped,
                          nodes_expanded=nodes)
@@ -368,7 +390,6 @@ def mutation_test(seq: OrientableSequence, trials: int,
     rng = random.Random(seed)
     base = np.asarray(seq.symbols)
     records = []
-    rejected = 0
     for _ in range(trials):
         pos = rng.randrange(seq.period)
         old = int(base[pos])
@@ -376,8 +397,6 @@ def mutation_test(seq: OrientableSequence, trials: int,
         mutant = base.copy()
         mutant[pos] = new
         verdict = verify(mutant, seq.n, seq.k)
-        if not verdict.accepted:
-            rejected += 1
         records.append(MutationRecord(pos, old, new, verdict.accepted))
-    return MutationReport(trials=trials, rejected=rejected,
+    return MutationReport(trials=trials, rejected=sum(not r.accepted for r in records),
                           records=tuple(records))

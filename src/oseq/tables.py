@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .bounds import period_upper_bound
+from .bounds import _digit_limit, period_upper_bound
 from .constructions import ConstructionRecipe, Method, expected_period, generate
 from .errors import DomainError
 from .tuples import at_least
@@ -158,10 +157,16 @@ def compute_table(which: str, max_k: int | None = None, max_n: int | None = None
     max_n = default_n if max_n is None else max_n
     at_least(max_k, 2, "max_k")
     at_least(max_n, 2, "max_n")
+    if which == "bounds" and max_n >= _digit_limit(max_k):
+        # Refuse before any cell, naming the first too wide in grid order.
+        n = max(least_n, _digit_limit(max_k))
+        period_upper_bound(
+            next(k for k in range(least_k, max_k + 1) if n >= _digit_limit(k)), n)
     grid = [(n, k) for n in range(least_n, max_n + 1)
             for k in range(least_k, max_k + 1)]
     workers = min(workers, len(grid), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 (n, k): pool.submit(_compute_cell, which, n, k, cell_cap)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,10 +347,16 @@ def test_exhaustive_outcome_is_pinned(cell):
     assert outcome == SearchOutcome(k, n, period, witness, exact, nodes)
 
 
-def _reference_max_period(k, n, node_budget):
+def _reference_max_period(k, n, node_budget, repeats=None):
     """The recursive search that exhaustive_max_period replaced: it tests
     every candidate edge of a vertex against the start edge, palindromes
-    and the used set, and unwinds by returning True."""
+    and the used set, and unwinds by returning True.
+
+    Given a list as repeats, it also appends the node counts (before,
+    after) of every subtree it completes whose root state was searched
+    before from the same start edge and has two or more free edges: the
+    subtrees that exhaustive_max_period's table may credit whole.  A
+    state is the end vertex and the trail edges with their reversals."""
     total, vbase = k**n, k ** (n - 1)
     rev = _reverse_codes(np.arange(total), k, n).tolist()
     bound = period_upper_bound(k, n)
@@ -358,6 +366,7 @@ def _reference_max_period(k, n, node_budget):
     walk = []
     nodes = 0
     budget_hit = False
+    seen = set()
 
     def dfs(v, start_v, floor):
         nonlocal best, best_walk, nodes, budget_hit
@@ -367,6 +376,12 @@ def _reference_max_period(k, n, node_budget):
             if best >= bound:
                 return True
         base = v * k
+        if repeats is not None:
+            free = sum(e > floor and rev[e] != e and not used[e] and not used[rev[e]]
+                       for e in range(base, base + k))
+            state = (v, frozenset(walk + [rev[e] for e in walk]))
+            before, again = nodes, state in seen
+            seen.add(state)
         for d in range(k):
             e = base + d
             if e <= floor:
@@ -385,6 +400,8 @@ def _reference_max_period(k, n, node_budget):
             used[e] = 0
             if stop:
                 return True
+        if repeats is not None and free > 1 and again:
+            repeats.append((before, nodes))
         return False
 
     for f in range(total):
@@ -394,6 +411,7 @@ def _reference_max_period(k, n, node_budget):
             continue
         used[f] = 1
         walk.append(f)
+        seen.clear()
         stopped = dfs(f % vbase, f // k, f)
         walk.pop()
         used[f] = 0
@@ -409,12 +427,39 @@ def _reference_max_period(k, n, node_budget):
 def test_exhaustive_matches_reference_search(cell):
     # Seeded budgets stop the search in mid-subtree; on the cells that
     # reach their bound or finish within 5,000 nodes they also cover the
-    # bound stop and a complete search.
+    # bound stop and a complete search.  On three cells, budgets one below,
+    # at and one above the end of a repeated subtree (the first three and
+    # the three largest within 10,000 nodes) stop the search just before,
+    # at and after the node where its table may credit that subtree whole.
     k, n = cell
     rng = random.Random(100 * k + n)
-    for budget in [5000] + [rng.randrange(5000) for _ in range(2)]:
+    budgets = [5000] + [rng.randrange(5000) for _ in range(2)]
+    if cell in ((4, 3), (3, 4), (8, 2)):
+        repeats = []
+        _reference_max_period(k, n, 10_000, repeats)
+        largest = sorted(repeats, key=lambda span: span[1] - span[0])[-3:]
+        budgets += [after + d for _, after in repeats[:3] + largest for d in (-1, 0, 1)]
+    for budget in budgets:
         want = _reference_max_period(k, n, budget)
         assert exhaustive_max_period(k, n, node_budget=budget) == want
+
+
+def test_exhaustive_search_memory_is_bounded():
+    # (3,5) meets many distinct states: a table kept for every one of them
+    # traces 1.5 MiB here and tens of MB at the default budget, the bounded
+    # table about 0.4 MiB.  It is freed on return, not left to the cycle
+    # collector.
+    gc.disable()
+    tracemalloc.start()
+    try:
+        outcome = exhaustive_max_period(3, 5, node_budget=300_000)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert outcome.nodes_expanded == 300_000
+    assert peak < 2**20
+    assert current < 2**16
 
 
 def test_rotation_and_reversal_invariance():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from concurrent.futures import Future
 
@@ -116,7 +117,7 @@ def test_worker_pool_is_bounded(monkeypatch, cpus, pools):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(tables, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(tables.os, "cpu_count", lambda: cpus)
     result = compute_table("bounds", 3, 3, workers=10_000)
     assert sizes == pools

@@ -6,9 +6,12 @@ that is not an integer, and pins the exception type and, where given,
 the message.
 """
 
+import time
+
 import numpy as np
 import pytest
 
+from oseq import tables
 from oseq.bounds import empirical_exclusion_audit, ledger_bound, period_upper_bound
 from oseq.cli import main
 from oseq.constructions import low_pseudoweight_graph
@@ -270,6 +273,23 @@ def test_bound_prints_up_to_the_digit_limit(capsys):
     assert int(bound) == period_upper_bound(10, 4299) and len(bound) == 4299
     assert main(["bound", "--k", "10", "--n", "4300"]) == 1
     assert capsys.readouterr().err == "error: 10**4300 has more than 4300 digits\n"
+
+
+def test_table_bounds_refuses_before_any_cell(monkeypatch, capsys):
+    # The first bound too wide to print, in grid order, is 8**4762; no cell
+    # before it is computed, however far --max-n reaches.
+    def no_cell(*args):
+        raise AssertionError("a cell was computed")
+
+    monkeypatch.setattr(tables, "_compute_cell", no_cell)
+    for max_n in ("5000", str(10**30)):
+        start = time.perf_counter()
+        assert main(["table", "--which", "bounds", "--max-n", max_n]) == 1
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == "error: 8**4762 has more than 4300 digits\n"
+    # A row refuses from some k below max_k on: 996**1434 still prints.
+    assert main(["table", "--which", "bounds", "--max-k", "1000", "--max-n", "2000"]) == 1
+    assert capsys.readouterr().err == "error: 997**1434 has more than 4300 digits\n"
 
 
 @pytest.mark.parametrize("cap,message", [
