@@ -83,8 +83,7 @@ def _check_domain(method: Method, k: int, n: int, t: int | None = None) -> None:
         raise DomainError(f"block width must satisfy 1 <= t <= n/2, got {t}")
 
 
-def _end_rule_graph(k: int, n: int, t: int,
-                    differences: np.ndarray) -> DBSubgraph:
+def _end_rule_graph(k: int, n: int, t: int, differences: range) -> DBSubgraph:
     """Edges: n-tuples whose last t symbols minus the first t, summed
     modulo k, is one of differences.
 
@@ -96,7 +95,8 @@ def _end_rule_graph(k: int, n: int, t: int,
     cap applies to the edges returned.
     """
     _check_code_width(k, n)
-    _check_cap(differences.size * k ** (n - 1))
+    _check_cap(len(differences) * k ** (n - 1))
+    differences = np.array(differences)
     dtype = _index_dtype(k**n)
     sums = np.zeros(1, dtype=np.int64)
     for _ in range(t):
@@ -121,13 +121,13 @@ def end_difference_graph(k: int, n: int) -> DBSubgraph:
     n >= 3, which generate() reports rather than hides.
     """
     _check_domain(Method.END_DIFFERENCE, k, n)
-    return _end_rule_graph(k, n, 1, np.arange(1, (k - 1) // 2 + 1))
+    return _end_rule_graph(k, n, 1, range(1, (k - 1) // 2 + 1))
 
 
 def odd_end_difference_graph(k: int, n: int) -> DBSubgraph:
     """Edges: n-tuples whose last-minus-first difference is odd modulo k."""
     _check_domain(Method.ODD_END_DIFFERENCE, k, n)
-    return _end_rule_graph(k, n, 1, np.arange(1, k, 2))
+    return _end_rule_graph(k, n, 1, range(1, k, 2))
 
 
 def block_end_difference_graph(k: int, n: int, t: int) -> DBSubgraph:
@@ -137,7 +137,7 @@ def block_end_difference_graph(k: int, n: int, t: int) -> DBSubgraph:
     t = 1 reduces to the plain end-difference rule.
     """
     _check_domain(Method.BLOCK_END_DIFFERENCE, k, n, t)
-    return _end_rule_graph(k, n, t, np.arange(1, (k - 1) // 2 + 1))
+    return _end_rule_graph(k, n, t, range(1, (k - 1) // 2 + 1))
 
 
 def lempel_map(t: ZkTuple, beta: int = 1) -> ZkTuple:
@@ -181,6 +181,9 @@ def low_pseudoweight_graph(k: int, n: int) -> DBSubgraph:
     at_least(k, 2, "alphabet size")
     at_least(n, 2, "window length")
     _check_code_width(k, n)
+    # s -> -s mirrors weights about n*k, hit by at most 2 k**(n-1) words, so
+    # at least this many weigh less; it refuses a large k before the count.
+    _check_cap(k ** (n - 1) * (k - 2) // 2, "at least ")
     _check_cap(sum(count_by_doubled_pseudoweight(k, n, w) for w in range(n * k)))
     symbols = np.arange(k, dtype=_index_dtype(k**n))
     cost = np.where(symbols == 0, k, 2 * symbols).astype(np.min_scalar_type(2 * n * k))

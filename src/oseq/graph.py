@@ -38,10 +38,10 @@ def edge_cap() -> int:
     return value
 
 
-def _check_cap(size: int) -> None:
+def _check_cap(size: int, qualifier: str = "") -> None:
     limit = edge_cap()
     if size > limit:
-        raise ResourceCapError(f"edge set of size {size} exceeds cap {limit}")
+        raise ResourceCapError(f"edge set of size {qualifier}{size} exceeds cap {limit}")
 
 
 def _check_code_width(k: int, length: int) -> None:

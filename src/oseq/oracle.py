@@ -65,7 +65,8 @@ def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
     Windows wrap cyclically.  Candidates shorter than n are rejected
     outright rather than unrolled.  Any k and n work: when k**n exceeds
     64-bit window codes, windows are compared through dense ids.  One
-    sort of all forward and reversed ids decides; a rejection then names
+    sort of the m canonical ids (each window's smaller id, read forward
+    or backwards) and a palindrome check decide; a rejection then names
     its witness from the positions whose ids repeat, in one more pass.
     """
     at_least(k, 2, "alphabet size")
@@ -76,43 +77,39 @@ def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
         return VerifyResult(False, kind="short-period",
                             message=f"period {m} is shorter than window length {n}")
     fwd, rev = window_ids(s, n, k)
-    # Reversal is injective, so the 2m ids are distinct exactly when the
-    # windows are distinct and none is the reversal of any window.
-    ids = np.concatenate([fwd, rev])
-    ids.sort()
-    repeated = _repeated(ids)
-    if not repeated.size:
+    # Reversal is an involution: at i != j, canonical ids agree exactly when
+    # window j is window i or its reversal; i == j offends as a palindrome.
+    canon = np.minimum(fwd, rev)
+    canon.sort()
+    repeated = canon[1:][canon[1:] == canon[:-1]]
+    if not repeated.size and not np.any(fwd == rev):
         return VerifyResult(True)
-    return _first_offender(fwd, rev, repeated)
+    return _first_offender(fwd, rev, repeated, canon)
 
 
-def _repeated(ids: np.ndarray) -> np.ndarray:
-    """The ids that occur more than once in a sorted array."""
-    later = ids[1:]
-    return later[later == ids[:-1]]
+def _first_offender(fwd: np.ndarray, rev: np.ndarray, repeated: np.ndarray,
+                    canon: np.ndarray) -> VerifyResult:
+    """Apply the witness rule of VerifyResult, given the canonical ids
+    min(fwd, rev) that repeat, and m ids of scratch space in canon.
 
-
-def _first_offender(fwd: np.ndarray, rev: np.ndarray,
-                    repeated: np.ndarray) -> VerifyResult:
-    """Apply the witness rule of VerifyResult, given the ids that repeat
-    among all 2m forward and reversed window ids.
-
-    Only positions whose forward id repeats take part: when window j is
-    window i reversed, window i is window j reversed, and a palindrome's
-    two ids are equal.  A stable sort of their ids gives the first
-    position of each.  Window j is a duplicate when its own id first
-    occurs before j, and otherwise a reversal when its reversed id first
-    occurs at or before j; the smallest such j is the first offender.
+    Only positions whose forward id repeats among all 2m ids take part:
+    the palindromes, and the positions whose canonical id repeats, since
+    at i != j canonical ids agree exactly when window j is window i or
+    its reversal.  A stable sort of their ids gives the first position of
+    each.  Window j is a duplicate when its own id first occurs before j,
+    and otherwise a reversal when its reversed id first occurs at or
+    before j; the smallest such j is the first offender.
     """
-    # Flags indexed by the low bits of each id pass every position whose
-    # id repeats, in one gather over the period.  They pass a few others
-    # too, which can neither offend nor be a partner, since their ids
-    # occur once among the 2m.  np.isin would take its table method here,
-    # with an int64 temporary per window.
+    # Flags indexed by the low bits of each canonical id pass every
+    # position whose canonical id repeats, in one gather over the period.
+    # They pass a few others too, which can neither offend nor be a
+    # partner, since their forward ids occur once among the 2m.  np.isin
+    # would take its table method here, with an int64 temporary per window.
     low = (1 << min(fwd.size.bit_length(), 30)) - 1
     bucket = np.zeros(low + 1, dtype=bool)
     bucket[repeated & low] = True
-    keep = np.flatnonzero(bucket[fwd & low])
+    np.bitwise_and(np.minimum(fwd, rev, out=canon), low, out=canon)
+    keep = np.flatnonzero(bucket[canon] | (fwd == rev))
     ids = fwd[keep]
     positions = keep[_stable_sort(ids)]
     first, _ = _first_at(ids, positions, fwd[keep])

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oseq import tables
 from oseq.cli import main
-from oseq.sequences import read_sequence_file
+from oseq.constructions import ConstructionRecipe, Method, generate
+from oseq.sequences import read_sequence_file, serialize_sequence
 
 
 def run(*argv):
@@ -188,3 +194,115 @@ def test_locate_matches_window_position(tmp_path, capsys):
     window = "".join(str(int(arr[(7 + d) % parsed.period])) for d in range(3))
     assert run("locate", "--in", str(out), "--window", window) == 0
     assert capsys.readouterr().out.strip() == "position 7 forward"
+
+
+# The fuzz's values: mostly small numbers, sometimes huge ones or junk.
+HUGE = st.sampled_from([10**8, 2**63, 10**30])
+JUNK = st.sampled_from(["", "x", "1.5", "-", "-1", "0", "1", "9" * 5000])
+
+
+def number(low, high):
+    return st.one_of(st.integers(low, high), st.integers(low, high), HUGE).map(str)
+
+
+@st.composite
+def options(draw, **choices):
+    """argv for some options: each one given a value (most often), given
+    junk, or left out; a flag (None) given or not.  A value of None leaves
+    its option out too."""
+    argv = []
+    for name, values in choices.items():
+        flag = "--" + name.replace("_", "-")
+        mode = draw(st.sampled_from(["value"] * 4 + ["junk", "absent"]))
+        if values is None:
+            argv += [flag] * (mode == "value")
+        elif mode != "absent":
+            value = draw(JUNK if mode == "junk" else values)
+            argv += [] if value is None else [flag, value]
+    return argv
+
+
+ORIENTABLE_FILE = serialize_sequence(generate(ConstructionRecipe(Method.END_DIFFERENCE, 5, 3)))
+
+
+@st.composite
+def sequence_files(draw):
+    """Sequence-file text: mostly a well-formed file over a few symbols, at
+    times out of range, miscounted, cut short, replaced by junk, or an
+    orientable file."""
+    k = draw(st.one_of(st.integers(2, 12), st.sampled_from([0, 1, 2**63, 10**30])))
+    n = draw(st.integers(1, 5) | st.just(0))
+    symbols = draw(st.lists(st.integers(0, max(min(k, 12) - 1, 0)), min_size=1, max_size=20))
+    symbols += draw(st.sampled_from([[]] * 5 + [[k]]))
+    body = ("" if k <= 10 else ",").join(map(str, symbols))
+    period = len(symbols) + draw(st.sampled_from([0] * 5 + [1, -1]))
+    header = f"k={k} n={n} period={period} method=unknown"
+    form = draw(st.sampled_from(["file"] * 5 + ["orientable"] * 3
+                                + ["header", "body", "empty", "junk"]))
+    return {"file": f"{header}\n{body}\n", "header": header, "body": body,
+            "empty": "", "junk": draw(st.text(max_size=30)),
+            "orientable": ORIENTABLE_FILE}[form]
+
+
+# Every command with small extents; --workers never above 1, so no
+# process pool starts.
+CLI_CASES = st.one_of(
+    st.tuples(st.just("generate"),
+              options(method=st.sampled_from(["a", "c", "a_t", "lempel", "b"]),
+                      k=number(2, 7), n=number(2, 4), t=st.none() | number(1, 4))),
+    st.tuples(st.just("verify"), options(k=st.none() | number(2, 12),
+                                         n=st.none() | number(1, 6))),
+    st.tuples(st.just("locate"), options(window=st.text("0123456789", min_size=1, max_size=5)
+                                         | st.text("0123456789,", max_size=6))),
+    st.tuples(st.just("bound"), options(k=number(2, 12), n=number(2, 12), ledger=None)),
+    # table always gets its extent and cell cap: the defaults span minutes.
+    st.tuples(st.just("table"),
+              st.tuples(st.just("--max-k"), st.integers(1, 7).map(str),
+                        st.just("--max-n"), st.integers(1, 5).map(str),
+                        st.just("--cell-cap"), st.integers(0, 300).map(str)).map(list),
+              options(which=st.sampled_from(["bounds", "a-periods", "lempel-periods",
+                                             "known", "b"]),
+                      workers=st.none() | st.integers(-1, 1).map(str),
+                      json=None, strict=None)),
+    st.tuples(st.sampled_from(["help", "--help", "--version"]), st.just([])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=CLI_CASES, text=sequence_files(), with_file=st.sampled_from([True] * 5 + [False]))
+def test_cli_fuzz_exits_with_documented_codes(tmp_path_factory, case, text, with_file):
+    command, argv = case[0], [a for part in case[1:] for a in part]
+    directory = tmp_path_factory.getbasetemp()
+    path = directory / "fuzz.txt"
+    path.write_text(text, encoding="utf-8")
+    if command == "generate":
+        argv += ["--out", str(directory / "generated.txt")]
+    elif command in ("verify", "locate") and with_file:
+        argv += ["--in", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([command] + argv)
+    assert code in range(5)
+
+
+def test_bound_refuses_huge_window_length_quickly(capsys):
+    start = time.perf_counter()
+    assert run("bound", "--k", "10", "--n", "100000000") == 1
+    assert time.perf_counter() - start < 1
+    assert "10**100000000 has more than" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method,k,n,message", [
+    ("a", 10**10 + 1, 2, "does not fit in 64-bit codes"),
+    ("c", 10**8 + 1, 2, "edge set of size 5000000050000000 exceeds cap"),
+    ("lempel", 10**8 + 1, 3, "edge set of size at least 4999999999999999 exceeds cap"),
+])
+def test_generate_refuses_large_alphabets_before_building(tmp_path, capsys, method, k, n,
+                                                          message):
+    # Each refuses before it builds anything of size k: about k/2
+    # differences, or a weight distribution of 2nk entries.
+    start = time.perf_counter()
+    assert run("generate", "--method", method, "--k", str(k), "--n", str(n),
+               "--out", str(tmp_path / "x.txt")) == 1
+    assert time.perf_counter() - start < 1
+    assert message in capsys.readouterr().err

@@ -739,6 +739,115 @@ def test_one_pass_reject_matches_doubling_reference_on_random_periods():
         assert verify(symbols, n, k) == doubling_verdict(symbols, n, k)
 
 
+def offences(symbols, n):
+    """Every offending pair (i, j), i <= j, in plain Python: window j
+    equals window i (i < j), or is window i reversed (i == j for a
+    palindrome)."""
+    m = len(symbols)
+    windows = [tuple(int(symbols[(j + d) % m]) for d in range(n)) for j in range(m)]
+    where = {}
+    for j, w in enumerate(windows):
+        where.setdefault(w, []).append(j)
+    pairs = set()
+    for j, w in enumerate(windows):
+        pairs.update((i, j) for i in where[w] if i < j)
+        pairs.update((min(i, j), max(i, j)) for i in where.get(w[::-1], ()))
+    return sorted(pairs)
+
+
+# Narrow int32 codes (11**8 < 2**31), and the rank branch past 64-bit
+# codes (11**19 > 2**63).
+CANONICAL_BRANCHES = [pytest.param(11, 8, id="codes-k11-n8"),
+                      pytest.param(11, 19, id="ranks-k11-n19")]
+
+
+def orientable_random_period(k, n, m, seed):
+    rng = np.random.default_rng(seed)
+    symbols = rng.integers(0, k, m)
+    assert not offences(symbols, n)
+    return rng, symbols
+
+
+@pytest.mark.parametrize("k,n", CANONICAL_BRANCHES)
+def test_canonical_verify_far_reversal_pair_with_distinct_forward_ids(k, n):
+    # The forward ids are all distinct, so only the reversed ids repeat.
+    _, symbols = orientable_random_period(k, n, 600, seed=n)
+    a, b = 40, 500
+    symbols[b:b + n] = symbols[a:a + n][::-1]
+    # Symbols that would stretch the reversed stretch by one either way.
+    for x, y in ((b - 1, a + n), (b + n, a - 1)):
+        if symbols[x] == symbols[y]:
+            symbols[x] = (symbols[x] + 1) % k
+    assert offences(symbols, n) == [(a, b)]
+    fwd, _ = window_ids(symbols, n, k)
+    assert np.unique(fwd).size == symbols.size
+    v = verify(symbols, n, k)
+    assert full_verdict(v) == scan_verdict(symbols, n)
+    assert (v.kind, v.i, v.j) == ("reversal", a, b)
+
+
+@pytest.mark.parametrize("k,n", CANONICAL_BRANCHES)
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_canonical_verify_lone_palindrome(k, n, where):
+    # Window m - 1 wraps round the end of the period.
+    rng, symbols = orientable_random_period(k, n, 600, seed=n + 1)
+    m = symbols.size
+    half = rng.integers(0, k, (n + 1) // 2)
+    start = 0 if where == "first" else m - 1
+    symbols[(start + np.arange(n)) % m] = np.concatenate([half, half[:n // 2][::-1]])
+    assert offences(symbols, n) == [(start, start)]
+    v = verify(symbols, n, k)
+    assert full_verdict(v) == scan_verdict(symbols, n)
+    assert (v.kind, v.i, v.j) == ("reversal", start, start)
+
+
+@pytest.mark.parametrize("k", [2, 3, 11, 2**40])
+def test_canonical_verify_window_length_one(k):
+    # Every 1-window is a palindrome, so window 0 offends first.
+    rng = np.random.default_rng(k % 1000)
+    for m in (1, 2, 5, 40):
+        symbols = rng.integers(0, k, m)
+        v = verify(symbols, 1, k)
+        assert full_verdict(v) == scan_verdict(symbols, 1)
+        assert (v.kind, v.i, v.j) == ("reversal", 0, 0)
+
+
+@pytest.mark.parametrize("ranks", [False, True], ids=["codes", "ranks-k11-n19"])
+def test_canonical_verify_corrupted_periods(ranks):
+    # 1-3 corruptions of generated periods, read at their own k and n, or
+    # at k = 11, n = 19 on the rank branch.  There, periods made of a
+    # random block and its copy or its reversal offend almost everywhere.
+    rng = np.random.default_rng(19 if ranks else 8)
+    periods = []
+    for method, k, n in (("a", 5, 5), ("lempel", 4, 5), ("a", 11, 3)):
+        base = np.asarray(generate(ConstructionRecipe(Method(method), k, n)).symbols)
+        periods += [(base, k, *((11, 19) if ranks else (k, n)))] * 25
+    if ranks:
+        block = rng.integers(0, 11, 300)
+        periods += [(np.concatenate([block, block]), 11, 11, 19)] * 15
+        periods += [(np.concatenate([block, block[::-1]]), 11, 11, 19)] * 15
+    for base, alphabet, k, n in periods:
+        mutant = base.copy()
+        for pos in rng.integers(0, base.size, int(rng.integers(1, 4))):
+            mutant[pos] = (int(mutant[pos]) + 1 + rng.integers(alphabet - 1)) % alphabet
+        assert full_verdict(verify(mutant, n, k)) == scan_verdict(mutant, n)
+
+
+def test_verify_accept_peak_memory():
+    # The accept path holds the forward, reversed and canonical ids and one
+    # bool per window: 3.25 int32 arrays of m.  A sort of all 2m ids, as a
+    # concatenation of both, peaked at 4.5.
+    symbols = np.asarray(generate(ConstructionRecipe(Method.LEMPEL_LIFT, 7, 7)).symbols)
+    tracemalloc.start()
+    try:
+        verdict = verify(symbols, 7, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.accepted
+    assert peak <= 3.5 * 4 * symbols.size
+
+
 @pytest.mark.parametrize("n,dtype", [(30, np.int32), (31, np.int64)])
 def test_window_ids_are_int32_below_2_to_31(n, dtype):
     rng = np.random.default_rng(n)
