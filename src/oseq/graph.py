@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DisconnectedError, DomainError, ResourceCapError
 from .tuples import ZkTuple, at_least, checked_word
@@ -65,17 +64,6 @@ def code_to_tuple(code: int, k: int, length: int) -> tuple[int, ...]:
         code, r = divmod(code, k)
         out.append(r)
     return tuple(reversed(out))
-
-
-def _digits_to_codes(digits: np.ndarray, k: int,
-                     dtype: type = np.int64) -> np.ndarray:
-    """Base-k code of each row of a symbol matrix, most significant first,
-    in a dtype that holds k**width."""
-    codes = np.zeros(digits.shape[0], dtype=dtype)
-    for i in range(digits.shape[1]):
-        codes *= k
-        codes += digits[:, i]
-    return codes
 
 
 def _code_tuples(codes: np.ndarray, k: int, length: int) -> list[tuple[int, ...]]:
@@ -618,11 +606,23 @@ def window_codes(symbols: np.ndarray | Sequence[int], n: int, k: int,
 
     With reverse=True, the window starting at i is read leftwards
     from position i + n - 1 down to i, i.e. it is the reversal of the
-    forward window at i.
+    forward window at i.  Horner's rule adds one slice of the wrapped
+    period per symbol, most significant first.
     """
     _check_code_width(k, n)
-    windows = _cyclic_windows(symbols, n)[:, ::-1 if reverse else 1]
-    return _digits_to_codes(windows, k, _index_dtype(k**n))
+    s = np.asarray(symbols)
+    if not np.can_cast(s.dtype, np.int64):
+        s = s.astype(np.int64)
+    if s.size == 0:
+        raise DomainError("sequence period must be at least 1")
+    m = s.size
+    # np.resize repeats the period, so it also wraps periods below n - 1.
+    wrapped = np.concatenate([s, np.resize(s, n - 1)])
+    codes = np.zeros(m, dtype=_index_dtype(k**n))
+    for i in reversed(range(n)) if reverse else range(n):
+        codes *= k
+        codes += wrapped[i:i + m]
+    return codes
 
 
 def window_ids(symbols: np.ndarray | Sequence[int], n: int,
@@ -687,17 +687,6 @@ def checked_symbols(symbols: np.ndarray | Sequence[int], k: int) -> np.ndarray:
     if int(s.min()) < 0 or int(s.max()) >= k:
         raise DomainError(f"symbol out of range for alphabet size {k}")
     return s
-
-
-def _cyclic_windows(symbols: np.ndarray | Sequence[int], n: int) -> np.ndarray:
-    """Read-only m x n view whose row i is the cyclic window at i."""
-    s = np.asarray(symbols)
-    if not np.can_cast(s.dtype, np.int64):
-        s = s.astype(np.int64)
-    if s.size == 0:
-        raise DomainError("sequence period must be at least 1")
-    # np.resize repeats the period, so it also wraps periods below n - 1.
-    return sliding_window_view(np.concatenate([s, np.resize(s, n - 1)]), n)
 
 
 def edge_graph_of_sequence(symbols: np.ndarray | Sequence[int], n: int,

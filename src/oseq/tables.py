@@ -17,7 +17,7 @@ from importlib import resources
 
 from .bounds import _digit_limit, period_upper_bound
 from .constructions import ConstructionRecipe, Method, expected_period, generate
-from .errors import DomainError
+from .errors import DomainError, ResourceCapError
 from .tuples import at_least
 
 # For each table: the least (k, n) of its grid; its default (max_k, max_n),
@@ -31,6 +31,7 @@ _TABLES = {
 }
 TABLE_NAMES = tuple(_TABLES)
 DEFAULT_CELL_CAP = 1_000_000
+MAX_GRID_CELLS = 1_000_000
 
 STATUS_OK = "ok"
 STATUS_MISMATCH = "mismatch"
@@ -146,9 +147,10 @@ def compute_table(which: str, max_k: int | None = None, max_n: int | None = None
     by default the full extent of its bundled golden data.
 
     Cells whose construction would exceed cell_cap edges are marked
-    skipped.  With workers > 1 the independent cells run in a process
-    pool of at most one worker per cell and per CPU; assembly order is
-    fixed either way, so output is identical.
+    skipped, and a grid of more than MAX_GRID_CELLS cells is refused.
+    With workers > 1 the independent cells run in a process pool of at
+    most one worker per cell and per CPU; assembly order is fixed either
+    way, so output is identical.
     """
     if which not in TABLE_NAMES:
         raise DomainError(f"table must be one of {TABLE_NAMES}, got {which!r}")
@@ -162,6 +164,9 @@ def compute_table(which: str, max_k: int | None = None, max_n: int | None = None
         n = max(least_n, _digit_limit(max_k))
         period_upper_bound(
             next(k for k in range(least_k, max_k + 1) if n >= _digit_limit(k)), n)
+    size = max(0, max_n - least_n + 1) * max(0, max_k - least_k + 1)
+    if size > MAX_GRID_CELLS:
+        raise ResourceCapError(f"table grid of {size} cells exceeds cap {MAX_GRID_CELLS}")
     grid = [(n, k) for n in range(least_n, max_n + 1)
             for k in range(least_k, max_k + 1)]
     workers = min(workers, len(grid), os.cpu_count() or 1)

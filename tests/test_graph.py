@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from oseq import graph, oracle
 from oseq.constructions import end_difference_graph, lempel_lift, lempel_preimages
@@ -32,8 +33,6 @@ from oseq.graph import (
 from oseq.graph import (
     _circuit_order,
     _cycle_layout,
-    _cyclic_windows,
-    _digits_to_codes,
     _doubling_labels,
     _index_dtype,
     _join_cycles,
@@ -913,15 +912,17 @@ def reference_window_codes(symbols, n, k, reverse):
         st.integers(min_value=1, max_value=7),
         st.lists(st.integers(min_value=0, max_value=k - 1),
                  min_size=1, max_size=12),
-        st.sampled_from([np.uint8, np.int64]),
+        st.sampled_from([np.uint8, np.int64, np.uint64, bool]),
         st.booleans(),
     )
 ))
 def test_window_codes_match_reference(case):
     k, n, symbols, dtype, reverse = case
-    got = window_codes(np.asarray(symbols, dtype=dtype), n, k, reverse=reverse)
+    # uint64 does not cast safely to int64; bool maps every nonzero to 1.
+    array = np.asarray(symbols, dtype=dtype)
+    got = window_codes(array, n, k, reverse=reverse)
     assert got.dtype == np.int32  # k**n <= 6**7 < 2**31
-    assert got.tolist() == reference_window_codes(symbols, n, k, reverse)
+    assert got.tolist() == reference_window_codes(array.tolist(), n, k, reverse)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -951,25 +952,33 @@ def test_dense_window_ids_keep_window_equality(case):
     codes = window_codes(symbols, n, k).tolist() + window_codes(
         symbols, n, k, reverse=True).tolist()
     for width in range(1, n + 1):
-        fwd, rev = _dense_window_ids(_cyclic_windows(symbols, n), k, width)
+        fwd, rev = _dense_window_ids(symbols, n, k, width)
         ids = fwd.tolist() + rev.tolist()
         assert sorted(set(ids)) == list(range(len(set(ids))))
         assert {(a == b) == (c == d) for a, c in zip(codes, ids)
                 for b, d in zip(codes, ids)} == {True}
 
 
-def _dense_window_ids(windows, k, width):
-    """Rank the m forward and m reversed rows of a window matrix among
-    all 2m, comparing them as base-k words of at most width symbols.
+def _dense_window_ids(symbols, n, k, width):
+    """Rank the m forward and m reversed cyclic n-windows of a period
+    among all 2m, comparing them as base-k words of at most width symbols.
 
     The chunked lexsort that window_ids used past 64-bit codes before
     prefix doubling, kept as the reference: it sorts n/width keys of all
-    2m windows at once, so its time and memory grow with m * n.
+    2m windows at once, so its time and memory grow with m * n.  It builds
+    its own m x n window matrix and its own keys, sharing no code with
+    window_codes.
     """
-    m = windows.shape[0]
-    keys = [np.concatenate([_digits_to_codes(rows[:, a:a + width], k)
-                            for rows in (windows, windows[:, ::-1])])
-            for a in range(0, windows.shape[1], width)]
+    s = np.asarray(symbols, dtype=np.int64)
+    m = s.size
+    windows = sliding_window_view(np.resize(s, m + n - 1), n)
+    rows = np.concatenate([windows, windows[:, ::-1]])
+    keys = []
+    for a in range(0, n, width):
+        key = np.zeros(2 * m, dtype=np.int64)
+        for column in rows[:, a:a + width].T:
+            key = key * k + column
+        keys.append(key)
     order = np.lexsort(keys)
     new = np.zeros(2 * m, dtype=bool)
     for key in keys:
@@ -985,7 +994,7 @@ def lexsort_window_ids(symbols, n, k):
     width = 1
     while k ** (width + 1) < 2**63:
         width += 1
-    return _dense_window_ids(_cyclic_windows(symbols, n), k, width)
+    return _dense_window_ids(symbols, n, k, width)
 
 
 def first_holders(fwd, rev):

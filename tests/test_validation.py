@@ -292,6 +292,30 @@ def test_table_bounds_refuses_before_any_cell(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: 997**1434 has more than 4300 digits\n"
 
 
+@pytest.mark.parametrize("argv,cells", [
+    (["--which", "bounds", "--max-k", str(10**12)], 8 * (10**12 - 1)),
+    (["--which", "a-periods", "--max-n", str(10**12)], 5 * (10**12 - 1)),
+])
+def test_cli_table_refuses_a_grid_past_the_cap(capsys, argv, cells):
+    start = time.perf_counter()
+    assert main(["table", *argv]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: table grid of {cells} cells exceeds cap 1000000\n")
+
+
+def test_table_grid_at_the_cap_computes(monkeypatch):
+    monkeypatch.setattr(tables, "MAX_GRID_CELLS", 7)
+    assert len(compute_table("bounds", max_k=8, max_n=2).cells) == 7
+
+    def no_cell(*args):
+        raise AssertionError("a cell was computed")
+
+    monkeypatch.setattr(tables, "_compute_cell", no_cell)
+    with pytest.raises(ResourceCapError, match="^table grid of 8 cells exceeds cap 7$"):
+        compute_table("bounds", max_k=9, max_n=2)
+
+
 @pytest.mark.parametrize("cap,message", [
     ("abc", "error: OSEQ_EDGE_CAP must be an integer, got 'abc'\n"),
     ("0", "error: OSEQ_EDGE_CAP must be at least 1, got 0\n"),
