@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -599,6 +599,39 @@ def circuit_to_sequence(c: EulerianCircuit) -> np.ndarray:
     return symbols
 
 
+# Windows per block of _window_blocks, whose four buffers stay in cache.
+_BLOCK = 1 << 16
+
+
+def _window_blocks(s: np.ndarray, n: int,
+                   k: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (start, fwd, rev), the forward and reversed codes of the
+    cyclic n-windows from start on, _BLOCK at a time in reused buffers:
+    Horner's rule in base k**2 over the pairs s[j]*k + s[j+1] forward and
+    s[j+1]*k + s[j] reversed, plus one base-k step when n is odd."""
+    m, dtype = s.size, _index_dtype(k**n)
+    fwd, rev, pairs, reversed_pairs = np.empty((4, min(m, _BLOCK) + n), dtype)
+    heads = range(0, n - 1, 2)
+    for start in range(0, m, _BLOCK):
+        b = min(_BLOCK, m - start)
+        stop = start + b + n - 1
+        # mode="wrap" also wraps periods below n - 1 more than once.
+        w = s[start:stop] if stop <= m else s.take(np.arange(start, stop), mode="wrap")
+        p, r = pairs[:b + n - 2], reversed_pairs[:b + n - 2]
+        np.multiply(w[:-1], k, out=p, dtype=dtype)
+        np.add(p, w[1:], out=p, dtype=dtype)
+        np.multiply(w[1:], k, out=r, dtype=dtype)
+        np.add(r, w[:-1], out=r, dtype=dtype)
+        odd = [(k, w[n - 1:n - 1 + b])] if n % 2 else []
+        for out, terms in ((fwd[:b], [(k * k, p[i:i + b]) for i in heads] + odd),
+                           (rev[:b], odd + [(k * k, r[i:i + b]) for i in heads[::-1]])):
+            out[...] = terms[0][1]
+            for radix, digits in terms[1:]:
+                out *= radix
+                np.add(out, digits, out=out, dtype=dtype)
+        yield start, fwd[:b], rev[:b]
+
+
 def window_codes(symbols: np.ndarray | Sequence[int], n: int, k: int,
                  reverse: bool = False) -> np.ndarray:
     """Base-k codes of all cyclic length-n windows of one period, as
@@ -606,8 +639,7 @@ def window_codes(symbols: np.ndarray | Sequence[int], n: int, k: int,
 
     With reverse=True, the window starting at i is read leftwards
     from position i + n - 1 down to i, i.e. it is the reversal of the
-    forward window at i.  Horner's rule adds one slice of the wrapped
-    period per symbol, most significant first.
+    forward window at i.  The codes come from _window_blocks.
     """
     _check_code_width(k, n)
     s = np.asarray(symbols)
@@ -615,13 +647,9 @@ def window_codes(symbols: np.ndarray | Sequence[int], n: int, k: int,
         s = s.astype(np.int64)
     if s.size == 0:
         raise DomainError("sequence period must be at least 1")
-    m = s.size
-    # np.resize repeats the period, so it also wraps periods below n - 1.
-    wrapped = np.concatenate([s, np.resize(s, n - 1)])
-    codes = np.zeros(m, dtype=_index_dtype(k**n))
-    for i in reversed(range(n)) if reverse else range(n):
-        codes *= k
-        codes += wrapped[i:i + m]
+    codes = np.empty(s.size, dtype=_index_dtype(k**n))
+    for start, fwd, rev in _window_blocks(s, n, k):
+        codes[start:start + fwd.size] = rev if reverse else fwd
     return codes
 
 

@@ -17,8 +17,10 @@ import numpy as np
 from .bounds import period_upper_bound
 from .errors import DomainError, ResourceCapError
 from .graph import (
+    _INT64_MAX,
     _index_dtype,
     _reverse_codes,
+    _window_blocks,
     checked_symbols,
     window_codes,
     window_ids,
@@ -64,10 +66,11 @@ def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
 
     Windows wrap cyclically.  Candidates shorter than n are rejected
     outright rather than unrolled.  Any k and n work: when k**n exceeds
-    64-bit window codes, windows are compared through dense ids.  One
-    sort of the m canonical ids (each window's smaller id, read forward
-    or backwards) and a palindrome check decide; a rejection then names
-    its witness from the positions whose ids repeat, in one more pass.
+    64-bit window codes, windows are compared through dense ids.  The m
+    canonical ids (each window's smaller id, read forward or backwards)
+    are built block by block, noting palindromes, and a sorted copy of
+    them decides; a rejection then names its witness from the positions
+    whose canonical ids repeat, encoding only those windows again.
     """
     at_least(k, 2, "alphabet size")
     at_least(n, 1, "window length")
@@ -76,44 +79,65 @@ def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
     if m < n:
         return VerifyResult(False, kind="short-period",
                             message=f"period {m} is shorter than window length {n}")
-    fwd, rev = window_ids(s, n, k)
+    if n < 64 and k**n <= _INT64_MAX:
+        canon, palindromes = np.empty(m, dtype=_index_dtype(k**n)), []
+        for start, f, r in _window_blocks(s, n, k):
+            np.minimum(f, r, out=canon[start:start + f.size])
+            palindromes.append(np.flatnonzero(f == r) + start)
+        del f, r  # views that would keep the block buffers alive
+        palindromes = np.concatenate(palindromes)
+        codes_at = lambda keep: _codes_at(s, n, k, keep)
+    else:
+        fwd, rev = window_ids(s, n, k)
+        canon, palindromes = np.minimum(fwd, rev), np.flatnonzero(fwd == rev)
+        codes_at = lambda keep: (fwd[keep], rev[keep])
     # Reversal is an involution: at i != j, canonical ids agree exactly when
     # window j is window i or its reversal; i == j offends as a palindrome.
-    canon = np.minimum(fwd, rev)
-    canon.sort()
-    repeated = canon[1:][canon[1:] == canon[:-1]]
-    if not repeated.size and not np.any(fwd == rev):
+    ids = np.sort(canon)
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if not repeated.size and not palindromes.size:
         return VerifyResult(True)
-    return _first_offender(fwd, rev, repeated, canon)
-
-
-def _first_offender(fwd: np.ndarray, rev: np.ndarray, repeated: np.ndarray,
-                    canon: np.ndarray) -> VerifyResult:
-    """Apply the witness rule of VerifyResult, given the canonical ids
-    min(fwd, rev) that repeat, and m ids of scratch space in canon.
-
-    Only positions whose forward id repeats among all 2m ids take part:
-    the palindromes, and the positions whose canonical id repeats, since
-    at i != j canonical ids agree exactly when window j is window i or
-    its reversal.  A stable sort of their ids gives the first position of
-    each.  Window j is a duplicate when its own id first occurs before j,
-    and otherwise a reversal when its reversed id first occurs at or
-    before j; the smallest such j is the first offender.
-    """
     # Flags indexed by the low bits of each canonical id pass every
-    # position whose canonical id repeats, in one gather over the period.
-    # They pass a few others too, which can neither offend nor be a
-    # partner, since their forward ids occur once among the 2m.  np.isin
-    # would take its table method here, with an int64 temporary per window.
-    low = (1 << min(fwd.size.bit_length(), 30)) - 1
+    # position whose canonical id repeats, in one gather over the period,
+    # with the sorted ids as scratch.  They pass a few others too, which
+    # can neither offend nor be a partner, since their forward ids occur
+    # once among the 2m.
+    low = (1 << min(m.bit_length(), 30)) - 1
     bucket = np.zeros(low + 1, dtype=bool)
     bucket[repeated & low] = True
-    np.bitwise_and(np.minimum(fwd, rev, out=canon), low, out=canon)
-    keep = np.flatnonzero(bucket[canon] | (fwd == rev))
-    ids = fwd[keep]
+    kept = bucket[np.bitwise_and(canon, low, out=ids)]
+    kept[palindromes] = True
+    keep = np.flatnonzero(kept)
+    return _first_offender(keep, *codes_at(keep))
+
+
+def _codes_at(s: np.ndarray, n: int, k: int, keep: np.ndarray) -> np.ndarray:
+    """Forward and reversed codes of the cyclic n-windows at keep."""
+    codes = np.zeros((2, keep.size), dtype=_index_dtype(k**n))
+    for d in range(n):
+        codes *= k
+        np.add(codes, s.take([keep + d, keep + n - 1 - d], mode="wrap"),
+               out=codes, dtype=codes.dtype)
+    return codes
+
+
+def _first_offender(keep: np.ndarray, fwd: np.ndarray,
+                    rev: np.ndarray) -> VerifyResult:
+    """Apply the witness rule of VerifyResult to the positions keep and
+    their forward and reversed ids.
+
+    keep must hold every position whose forward id repeats among all 2m
+    ids: the palindromes, and the positions whose canonical id repeats,
+    since at i != j canonical ids agree exactly when window j is window i
+    or its reversal.  A stable sort of their ids gives the first position
+    of each.  Window j is a duplicate when its own id first occurs before
+    j, and otherwise a reversal when its reversed id first occurs at or
+    before j; the smallest such j is the first offender.
+    """
+    ids = fwd.copy()
     positions = keep[_stable_sort(ids)]
-    first, _ = _first_at(ids, positions, fwd[keep])
-    first_reversed, found = _first_at(ids, positions, rev[keep])
+    first, _ = _first_at(ids, positions, fwd)
+    first_reversed, found = _first_at(ids, positions, rev)
     duplicate = first < keep
     offends = duplicate | (found & (first_reversed <= keep))
     t = int(np.argmax(offends))

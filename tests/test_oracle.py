@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oseq import graph
 from oseq.bounds import period_upper_bound
 from oseq.constructions import ConstructionRecipe, Method, generate
 from oseq.errors import DomainError, ResourceCapError
@@ -833,19 +834,50 @@ def test_canonical_verify_corrupted_periods(ranks):
         assert full_verdict(verify(mutant, n, k)) == scan_verdict(mutant, n)
 
 
-def test_verify_accept_peak_memory():
-    # The accept path holds the forward, reversed and canonical ids and one
-    # bool per window: 3.25 int32 arrays of m.  A sort of all 2m ids, as a
-    # concatenation of both, peaked at 4.5.
+def lempel_7_7_verify_peak(mutate):
+    """verify's traced peak on the (lempel,7,7) period, or on a copy with
+    one symbol changed, in int32 arrays of m."""
     symbols = np.asarray(generate(ConstructionRecipe(Method.LEMPEL_LIFT, 7, 7)).symbols)
+    if mutate:
+        symbols = symbols.copy()
+        symbols[symbols.size // 3] = (symbols[symbols.size // 3] + 1) % 7
     tracemalloc.start()
     try:
         verdict = verify(symbols, 7, 7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert verdict.accepted
-    assert peak <= 3.5 * 4 * symbols.size
+    assert verdict.accepted != mutate
+    return peak / (4 * symbols.size)
+
+
+def test_verify_accept_peak_memory():
+    # The canonical ids, a sorted copy of them and one bool per window:
+    # 2.25 int32 arrays of m.  Full forward and reversed arrays besides
+    # peaked at 3.25.
+    assert lempel_7_7_verify_peak(mutate=False) <= 2.75
+
+
+def test_verify_reject_peak_memory():
+    # As on accept, plus a flag per low-bit bucket; full forward and
+    # reversed arrays besides peaked at 3.84.
+    assert lempel_7_7_verify_peak(mutate=True) <= 2.75
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_verify_matches_window_scan_across_block_edges(monkeypatch, block):
+    # 1-3 corruptions of generated periods, with blocks so small that
+    # offending pairs and the wrap straddle block edges.
+    monkeypatch.setattr(graph, "_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for method, k, n in (("a", 5, 5), ("lempel", 4, 5), ("a", 11, 3)):
+        base = np.asarray(generate(ConstructionRecipe(Method(method), k, n)).symbols)
+        assert full_verdict(verify(base, n, k)) == scan_verdict(base, n)
+        for _ in range(8):
+            mutant = base.copy()
+            for pos in rng.integers(0, base.size, int(rng.integers(1, 4))):
+                mutant[pos] = (int(mutant[pos]) + 1 + rng.integers(k - 1)) % k
+            assert full_verdict(verify(mutant, n, k)) == scan_verdict(mutant, n)
 
 
 @pytest.mark.parametrize("n,dtype", [(30, np.int32), (31, np.int64)])
