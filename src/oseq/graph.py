@@ -600,7 +600,7 @@ def circuit_to_sequence(c: EulerianCircuit) -> np.ndarray:
 
 
 # Windows per block of _window_blocks, whose four buffers stay in cache.
-_BLOCK = 1 << 16
+_BLOCK = 1 << 15
 
 
 def _window_blocks(s: np.ndarray, n: int,

@@ -905,60 +905,20 @@ def reference_window_codes(symbols, n, k, reverse):
     return codes
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=2, max_value=6).flatmap(
-    lambda k: st.tuples(
-        st.just(k),
-        st.integers(min_value=1, max_value=7),
-        st.lists(st.integers(min_value=0, max_value=k - 1),
-                 min_size=1, max_size=12),
-        st.sampled_from([np.uint8, np.int64, np.uint64, bool]),
-        st.booleans(),
-    )
-))
-def test_window_codes_match_reference(case):
-    k, n, symbols, dtype, reverse = case
-    # uint64 does not cast safely to int64; bool maps every nonzero to 1.
-    array = np.asarray(symbols, dtype=dtype)
-    got = window_codes(array, n, k, reverse=reverse)
-    assert got.dtype == np.int32  # k**n <= 6**7 < 2**31
-    assert got.tolist() == reference_window_codes(array.tolist(), n, k, reverse)
-
-
-@pytest.mark.parametrize("reverse", [False, True])
-def test_window_codes_widen_to_int64_from_2_to_the_31(reverse):
-    rng = np.random.default_rng(12)
-    symbols = rng.integers(0, 7, 40).astype(np.uint8)
-    assert 2**31 <= 7**12 < 2**63
-    got = window_codes(symbols, 12, 7, reverse=reverse)
-    assert got.dtype == np.int64
-    assert got.tolist() == reference_window_codes(symbols, 12, 7, reverse)
-    assert window_codes(symbols, 11, 7).dtype == np.int32  # 7**11 < 2**31
-
-
-def matrix_window_codes(symbols, n, k):
-    """Forward and reversed codes of every cyclic n-window, from an m x n
-    window matrix and a product with the digit weights, sharing no code
-    with window_codes."""
-    s = np.asarray(symbols).astype(np.int64)
-    windows = sliding_window_view(np.resize(s, s.size + n - 1), n)
-    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return windows @ powers, windows @ powers[::-1]
-
-
-def assert_blocks_match_matrix(symbols, n, k, block):
-    # Block sizes 1, 3 and 7 cross every block edge and the wrap.
-    m = symbols.size
-    want = matrix_window_codes(symbols, n, k)
+def assert_codes_match_reference(symbols, n, k, block):
+    """window_codes and the blocks of _window_blocks, in both directions,
+    against the plain-Python reference; block sizes 1, 3 and 7 cross
+    every block edge and the wrap."""
     with mock.patch.object(graph, "_BLOCK", block):
         blocks = [(start, f.copy(), r.copy())
                   for start, f, r in graph._window_blocks(symbols, n, k)]
         codes = [window_codes(symbols, n, k, reverse=r) for r in (False, True)]
-    assert [start for start, _, _ in blocks] == list(range(0, m, block))
-    for got in ([np.concatenate([b[d] for b in blocks]) for d in (1, 2)], codes):
-        for direction, expected in zip(got, want):
-            assert direction.dtype == _index_dtype(k**n)
-            assert direction.tolist() == expected.tolist()
+    assert [start for start, _, _ in blocks] == list(range(0, symbols.size, block))
+    for reverse in (False, True):
+        want = reference_window_codes(symbols.tolist(), n, k, reverse)
+        for got in (codes[reverse], np.concatenate([b[1 + reverse] for b in blocks])):
+            assert got.dtype == _index_dtype(k**n)
+            assert got.tolist() == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -972,21 +932,29 @@ def assert_blocks_match_matrix(symbols, n, k, block):
         st.sampled_from([1, 3, 7, graph._BLOCK]),
     )
 ))
-def test_window_blocks_match_window_matrix(case):
+def test_window_codes_match_reference(case):
     # m reaches down to 1, below n - 1, where the wrap repeats the period.
+    # uint64 does not cast safely to int64; bool maps every nonzero to 1.
     k, n, symbols, dtype, block = case
-    assert_blocks_match_matrix(np.asarray(symbols, dtype=dtype), n, k, block)
+    assert_codes_match_reference(np.asarray(symbols, dtype=dtype), n, k, block)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_window_codes_widen_to_int64_from_2_to_the_31(reverse):
+    rng = np.random.default_rng(12)
+    symbols = rng.integers(0, 7, 40).astype(np.uint8)
+    assert 2**31 <= 7**12 < 2**63
+    got = window_codes(symbols, 12, 7, reverse=reverse)
+    assert got.dtype == np.int64
+    assert got.tolist() == reference_window_codes(symbols, 12, 7, reverse)
+    assert window_codes(symbols, 11, 7).dtype == np.int32  # 7**11 < 2**31
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, graph._BLOCK])
-@pytest.mark.parametrize("k,n", [(7, 12), (12, 9), (11, 8)])
-def test_window_blocks_at_both_code_widths(k, n, block):
-    # 7**12 and 12**9 take int64 codes; 11**8 < 2**31 stays int32.
-    rng = np.random.default_rng(k * n)
-    for m in (1, 5, 40):
-        for dtype in (np.uint8, np.int64, np.uint64):
-            symbols = rng.integers(0, k, m).astype(dtype)
-            assert_blocks_match_matrix(symbols, n, k, block)
+def test_window_blocks_at_int64_width(block):
+    rng = np.random.default_rng(block)
+    for dtype in (np.uint8, np.int64, np.uint64):
+        assert_codes_match_reference(rng.integers(0, 7, 40).astype(dtype), 12, 7, block)
 
 
 @settings(max_examples=200, deadline=None)
