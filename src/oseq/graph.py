@@ -43,9 +43,14 @@ def _check_cap(size: int, qualifier: str = "") -> None:
         raise ResourceCapError(f"edge set of size {qualifier}{size} exceeds cap {limit}")
 
 
-def _check_code_width(k: int, length: int) -> None:
+def _fits_int64(k: int, length: int) -> bool:
+    """Whether base-k codes of words of this length fit in 64 bits."""
     # k >= 2: from length 64 on, skip computing the huge power.
-    if length >= 64 or k**length > _INT64_MAX:
+    return length < 64 and k**length <= _INT64_MAX
+
+
+def _check_code_width(k: int, length: int) -> None:
+    if not _fits_int64(k, length):
         raise ResourceCapError(f"{k}**{length} does not fit in 64-bit codes")
 
 
@@ -667,7 +672,7 @@ def window_ids(symbols: np.ndarray | Sequence[int], n: int,
     their first and last h symbols, in one sort, until h reaches n or all
     2m words differ.
     """
-    if n < 64 and k**n <= _INT64_MAX:
+    if _fits_int64(k, n):
         return window_codes(symbols, n, k), window_codes(symbols, n, k, reverse=True)
     s = np.asarray(symbols)
     m = s.size

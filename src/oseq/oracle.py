@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import period_upper_bound
 from .errors import DomainError, ResourceCapError
 from .graph import (
-    _INT64_MAX,
+    _fits_int64,
     _index_dtype,
     _reverse_codes,
     _window_blocks,
@@ -69,8 +69,7 @@ def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
     64-bit window codes, windows are compared through dense ids.  The m
     canonical ids (each window's smaller id, read forward or backwards)
     are built block by block, noting palindromes, and a sorted copy of
-    them decides; a rejection then names its witness from the positions
-    whose canonical ids repeat, encoding only those windows again.
+    them decides; a rejection names its witness from those alone.
     """
     at_least(k, 2, "alphabet size")
     at_least(n, 1, "window length")
@@ -79,18 +78,17 @@ def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
     if m < n:
         return VerifyResult(False, kind="short-period",
                             message=f"period {m} is shorter than window length {n}")
-    if n < 64 and k**n <= _INT64_MAX:
+    if _fits_int64(k, n):
         canon, palindromes = np.empty(m, dtype=_index_dtype(k**n)), []
         for start, f, r in _window_blocks(s, n, k):
             np.minimum(f, r, out=canon[start:start + f.size])
             palindromes.append(np.flatnonzero(f == r) + start)
         del f, r  # views that would keep the block buffers alive
         palindromes = np.concatenate(palindromes)
-        codes_at = lambda keep: _codes_at(s, n, k, keep)
     else:
         fwd, rev = window_ids(s, n, k)
         canon, palindromes = np.minimum(fwd, rev), np.flatnonzero(fwd == rev)
-        codes_at = lambda keep: (fwd[keep], rev[keep])
+        del fwd, rev
     # Reversal is an involution: at i != j, canonical ids agree exactly when
     # window j is window i or its reversal; i == j offends as a palindrome.
     ids = np.sort(canon)
@@ -99,60 +97,41 @@ def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
         return VerifyResult(True)
     # Flags indexed by the low bits of each canonical id pass every
     # position whose canonical id repeats, in one gather over the period,
-    # with the sorted ids as scratch.  They pass a few others too, which
-    # can neither offend nor be a partner, since their forward ids occur
-    # once among the 2m.
+    # with the sorted ids as scratch.  They pass a few others too, whose
+    # canonical ids occur once, so that they neither offend nor partner.
     low = (1 << min(m.bit_length(), 30)) - 1
     bucket = np.zeros(low + 1, dtype=bool)
     bucket[repeated & low] = True
-    kept = bucket[np.bitwise_and(canon, low, out=ids)]
-    kept[palindromes] = True
-    keep = np.flatnonzero(kept)
-    return _first_offender(keep, *codes_at(keep))
+    keep = np.flatnonzero(bucket[np.bitwise_and(canon, low, out=ids)])
+    return _first_offender(s, n, canon, keep, palindromes)
 
 
-def _codes_at(s: np.ndarray, n: int, k: int, keep: np.ndarray) -> np.ndarray:
-    """Forward and reversed codes of the cyclic n-windows at keep."""
-    codes = np.zeros((2, keep.size), dtype=_index_dtype(k**n))
-    for d in range(n):
-        codes *= k
-        np.add(codes, s.take([keep + d, keep + n - 1 - d], mode="wrap"),
-               out=codes, dtype=codes.dtype)
-    return codes
+def _first_offender(s: np.ndarray, n: int, canon: np.ndarray,
+                    keep: np.ndarray, palindromes: np.ndarray) -> VerifyResult:
+    """Apply the witness rule of VerifyResult to the period s, given its
+    canonical window ids, ascending positions keep holding every id that
+    occurs more than once, and the ascending palindromes.
 
-
-def _first_offender(keep: np.ndarray, fwd: np.ndarray,
-                    rev: np.ndarray) -> VerifyResult:
-    """Apply the witness rule of VerifyResult to the positions keep and
-    their forward and reversed ids.
-
-    keep must hold every position whose forward id repeats among all 2m
-    ids: the palindromes, and the positions whose canonical id repeats,
-    since at i != j canonical ids agree exactly when window j is window i
-    or its reversal.  A stable sort of their ids gives the first position
-    of each.  Window j is a duplicate when its own id first occurs before
-    j, and otherwise a reversal when its reversed id first occurs at or
-    before j; the smallest such j is the first offender.
+    Window j offends exactly when it is a palindrome or its canonical id
+    occurs earlier, so a stable sort of canon[keep] finds the first
+    offender.  Its partner i is the first position holding canon[j] (j
+    itself for a palindrome, or there would be an earlier one), and it
+    either equals window j, a duplicate, or is its reversal.
     """
-    ids = fwd.copy()
-    positions = keep[_stable_sort(ids)]
-    first, _ = _first_at(ids, positions, fwd)
-    first_reversed, found = _first_at(ids, positions, rev)
-    duplicate = first < keep
-    offends = duplicate | (found & (first_reversed <= keep))
-    t = int(np.argmax(offends))
-    if not offends[t]:
-        raise AssertionError("violation detected but no offender found")
-    j = int(keep[t])
-    if duplicate[t]:
-        i = int(first[t])
-        return VerifyResult(False, kind="duplicate", i=i, j=j,
-                            message=f"windows {i} and {j} are equal")
-    i = int(first_reversed[t])
-    return VerifyResult(
-        False, kind="reversal", i=i, j=j,
-        message=(f"window {j} is window {i} reversed" if i != j else
-                 f"window {j} is a palindrome (its own reversal)"))
+    j = i = int(palindromes[0]) if palindromes.size else s.size
+    if keep.size:
+        ids = canon[keep]
+        positions = keep[_stable_sort(ids)]
+        later = int(positions[1:][ids[1:] == ids[:-1]].min())
+        if later < j:
+            j, i = later, int(positions[np.searchsorted(ids, canon[later])])
+    if i == j:
+        kind, message = "reversal", f"window {j} is a palindrome (its own reversal)"
+    elif np.array_equal(*s.take([np.arange(i, i + n), np.arange(j, j + n)], mode="wrap")):
+        kind, message = "duplicate", f"windows {i} and {j} are equal"
+    else:
+        kind, message = "reversal", f"window {j} is window {i} reversed"
+    return VerifyResult(False, kind=kind, i=i, j=j, message=message)
 
 
 def _stable_sort(values: np.ndarray) -> np.ndarray:

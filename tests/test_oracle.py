@@ -834,6 +834,15 @@ def test_canonical_verify_corrupted_periods(ranks):
         assert full_verdict(verify(mutant, n, k)) == scan_verdict(mutant, n)
 
 
+def traced_verify(symbols, n, k):
+    """verify's verdict and its traced peak in bytes."""
+    tracemalloc.start()
+    try:
+        return verify(symbols, n, k), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def lempel_7_7_verify_peak(mutate):
     """verify's traced peak on the (lempel,7,7) period, or on a copy with
     one symbol changed, in int32 arrays of m."""
@@ -841,12 +850,7 @@ def lempel_7_7_verify_peak(mutate):
     if mutate:
         symbols = symbols.copy()
         symbols[symbols.size // 3] = (symbols[symbols.size // 3] + 1) % 7
-    tracemalloc.start()
-    try:
-        verdict = verify(symbols, 7, 7)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    verdict, peak = traced_verify(symbols, 7, 7)
     assert verdict.accepted != mutate
     return peak / (4 * symbols.size)
 
@@ -864,6 +868,16 @@ def test_verify_reject_peak_memory():
     assert lempel_7_7_verify_peak(mutate=True) <= 2.75
 
 
+def test_verify_constant_period_reject_peak_memory():
+    # Every window is the palindrome 0...0, so every canonical id repeats
+    # and the witness is sought among all m positions.  Encoding them all
+    # again in both directions peaked at 81 bytes per window.
+    symbols = np.zeros(2**21, np.uint8)
+    verdict, peak = traced_verify(symbols, 8, 2)
+    assert (verdict.kind, verdict.i, verdict.j) == ("reversal", 0, 0)
+    assert peak / symbols.size <= 64
+
+
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_verify_matches_window_scan_across_block_edges(monkeypatch, block):
     # 1-3 corruptions of generated periods, with blocks so small that
@@ -878,6 +892,27 @@ def test_verify_matches_window_scan_across_block_edges(monkeypatch, block):
             for pos in rng.integers(0, base.size, int(rng.integers(1, 4))):
                 mutant[pos] = (int(mutant[pos]) + 1 + rng.integers(k - 1)) % k
             assert full_verdict(verify(mutant, n, k)) == scan_verdict(mutant, n)
+        # Equal and reversed copies of an earlier window, so that the
+        # partner of the first offender is found across block edges.
+        kinds = set()
+        for _ in range(8):
+            a, b = sorted(rng.choice(base.size - n, 2, replace=False))
+            for copy in (base[a:a + n], base[a:a + n][::-1]):
+                planted = base.copy()
+                planted[b:b + n] = copy
+                want = scan_verdict(planted, n)
+                assert full_verdict(verify(planted, n, k)) == want
+                kinds.add(want[1] if want[2] != want[3] else "palindrome")
+        assert {"duplicate", "reversal"} <= kinds
+    # The same copies across the wrap of a sparse random period, where the
+    # first offender is a wrapping window the copy covers.
+    symbols = rng.integers(0, 16, 400)
+    for copy in (symbols[50:58], symbols[50:58][::-1]):
+        planted = symbols.copy()
+        planted[(396 + np.arange(8)) % 400] = copy
+        want = scan_verdict(planted, 8)
+        assert 50 - 8 < want[2] < 400 - 8 < want[3]
+        assert full_verdict(verify(planted, 8, 16)) == want
 
 
 @pytest.mark.parametrize("n,dtype", [(30, np.int32), (31, np.int64)])
