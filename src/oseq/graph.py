@@ -380,11 +380,12 @@ def _cycle_layout(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gap[np.take(ruler_pos, who[met])] = place[met]
     start = np.cumsum(gap, dtype=index) - gap
     heads, start = start[heads], np.take(start, ruler_pos)
-    place += np.take(start, who)
+    place += start[who]
     pos = np.full(m, -1, dtype=index)
-    np.put(pos, seen, place)
+    pos[seen] = place
     pos[::_RULER_STRIDE] = start
     placed = seen.size - met.size + link.size
+    del walk, seen, who, place
     if placed < m:
         rest = np.flatnonzero(pos < 0).astype(index, copy=False)
         # The cycles off the trail are closed under succ; until they are
@@ -452,7 +453,7 @@ def _spanning_forest(a: np.ndarray, b: np.ndarray,
             lightest = np.full(count * count, edge.size, dtype=index)
             np.minimum.at(lightest, pair, np.arange(edge.size, dtype=index))
             keep = np.sort(lightest[lightest < edge.size])
-            a, b, edge, ca, cb = (x[keep] for x in (a, b, edge, ca, cb))
+            edge, ca, cb = edge[keep], ca[keep], cb[keep]
         # Edges stay in weight order, so the position is the weight.
         lightest = np.full(count, edge.size, dtype=index)
         rank = np.arange(edge.size, dtype=index)
@@ -472,12 +473,12 @@ def _spanning_forest(a: np.ndarray, b: np.ndarray,
                 break
             parent = grand
         renumber = np.cumsum(parent == np.arange(count), dtype=index) - 1
-        comp = np.take(np.take(renumber, parent), comp)
-        count = int(renumber[-1]) + 1
+        renumber, count = np.take(renumber, parent), int(renumber[-1]) + 1
+        comp = np.take(renumber, comp)
         picked.append(edge[_sorted_unique(best)])
-        ca, cb = np.take(comp, a), np.take(comp, b)
-        keep = np.flatnonzero(ca != cb)
-        a, b, edge, ca, cb = (x[keep] for x in (a, b, edge, ca, cb))
+        ca, cb = renumber[ca], renumber[cb]
+        keep = ca != cb
+        edge, ca, cb = edge[keep], ca[keep], cb[keep]
     joins = np.sort(np.concatenate(picked)) if picked else edge[:0]
     return joins, comp
 
@@ -501,16 +502,20 @@ def _join_cycles(g: DBSubgraph):
     cycles share no vertex, a DisconnectedError counts the edges of the
     forest's components: the weak, so in a balanced graph the strong, ones.
     """
-    m = g.edge_count
+    m, k, edges = g.edge_count, g.k, g.edges
     index = _index_dtype(m)
-    in_order = np.argsort(g.targets, kind="stable").astype(index, copy=False)
+    targets, sources = edges % k**g.order, edges // k
+    in_order = np.argsort(targets, kind="stable").astype(index, copy=False)
     # sources is sorted, so this compares the in- and out-degree sequences.
-    if not np.array_equal(g.targets[in_order], g.sources):
+    if not np.array_equal(targets[in_order], sources):
         _, bad = is_balanced(g)
         raise DomainError(f"subgraph is not balanced: {len(bad)} vertices "
                           f"differ, first {bad[0]}")
+    shared = sources[1:] == sources[:-1]  # edges p and p + 1 leave one vertex
+    del targets, sources
     succ = np.empty(m, dtype=index)
-    np.put(succ, in_order, np.arange(m, dtype=index))
+    succ[in_order] = np.arange(m, dtype=index)
+    del in_order
     pos, heads = _cycle_layout(succ)
     cuts = np.zeros(m + 1, dtype=bool)
     cuts[heads] = True
@@ -519,14 +524,20 @@ def _join_cycles(g: DBSubgraph):
     # Number the cycles 0, 1, ... in the order of their slots.
     number = np.take(np.cumsum(cuts[:m], dtype=index) - 1, pos)
     # The in-edges at positions p and p + 1 lead to edges p and p + 1.
-    at = np.flatnonzero((g.sources[1:] == g.sources[:-1])
-                        & (number[1:] != number[:-1])).astype(index)
-    joins, comp = _spanning_forest(number[at], number[at + 1], heads.size)
+    at = np.flatnonzero(shared & (number[1:] != number[:-1])).astype(index)
+    a, b = number[at], number[at + 1]
+    del number, shared
+    joins, comp = _spanning_forest(a, b, heads.size)
     if joins.size != heads.size - 1:
-        sizes = np.bincount(np.take(comp, number))
-        raise DisconnectedError(sorted(sizes.tolist(), reverse=True))
+        sizes = np.bincount(comp, weights=np.diff(heads, append=m))
+        raise DisconnectedError(sorted(sizes.astype(int).tolist(), reverse=True))
     at = at[joins]
-    x, y = in_order[at], in_order[at + 1]
+    # Edges at and at + 1 leave one vertex v; their predecessors are the
+    # in-edges c * k**order + v of v (ascending, row c) that lead to them.
+    ins = np.arange(k, dtype=edges.dtype)[:, None] * k**g.order + edges[at] // k
+    found = np.minimum(np.searchsorted(edges, ins), m - 1)
+    into = np.where(edges[found] == ins, succ[found] - at, -1)
+    x, y = (np.where(into == step, found, 0).sum(axis=0) for step in (0, 1))
     run_start = np.ones(at.size, dtype=bool)
     np.not_equal(at[1:], at[:-1] + 1, out=run_start[1:])
     run_end = np.roll(run_start, -1)
@@ -546,11 +557,11 @@ def _circuit_order(g: DBSubgraph) -> np.ndarray:
     succ, pos, cuts = _join_cycles(g)
     m, index = succ.size, succ.dtype
     order = np.empty_like(succ)
-    np.put(order, pos, np.arange(m, dtype=index))
+    order[pos] = np.arange(m, dtype=index)
     first = np.flatnonzero(cuts[:m]).astype(index)
     last = np.append(first[1:], m) - 1
     # Each piece ends at an edge whose successor starts a piece.
-    after = (np.cumsum(cuts[:m], dtype=index) - 1)[pos[succ[order[last]]]]
+    after = np.searchsorted(first, pos[succ[order[last]]]).astype(index)
     piece = np.empty_like(after)
     piece[_doubling_ranks(after, 0, after.size)] = np.arange(after.size, dtype=index)
     length = np.take(last - first + 1, piece)
@@ -593,7 +604,7 @@ def eulerian_circuit(g: DBSubgraph) -> EulerianCircuit:
     at every size the circuit is spliced from the layout's pieces.
     """
     order = _circuit_order(g)
-    start = code_to_tuple(int(g.sources[0]), g.k, g.order)
+    start = code_to_tuple(int(g.edges[0]) // g.k, g.k, g.order)
     return EulerianCircuit(g.k, g.order, _read_only(g.edges[order]), start)
 
 

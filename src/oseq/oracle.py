@@ -103,6 +103,7 @@ def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
     bucket = np.zeros(low + 1, dtype=bool)
     bucket[repeated & low] = True
     keep = np.flatnonzero(bucket[np.bitwise_and(canon, low, out=ids)])
+    del ids, repeated, bucket
     return _first_offender(s, n, canon, keep, palindromes)
 
 

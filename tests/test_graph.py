@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from oseq import graph, oracle
-from oseq.constructions import end_difference_graph, lempel_lift, lempel_preimages
+from oseq.constructions import (
+    end_difference_graph,
+    lempel_lift,
+    lempel_preimages,
+    lifted_low_pseudoweight_graph,
+)
 from oseq.errors import DisconnectedError, DomainError, ResourceCapError
 from oseq.graph import (
     DBSubgraph,
@@ -271,6 +276,48 @@ def test_connectivity_matches_tarjan_on_random_unions(k, order, seed, parts):
                                  in DIGESTS.items() if not isinstance(want, str)])
 def test_connectivity_matches_tarjan_on_split_cells(k, n):
     _assert_components_match_tarjan(end_difference_graph(k, n))
+
+
+def test_split_cell_walked_from_rulers_names_its_components():
+    # Large enough for _cycle_layout's walk; Tarjan's count above covers
+    # only the split cells below _WALK_MIN.
+    g = end_difference_graph(3, 12)
+    assert g.edge_count == 177_147 >= graph._WALK_MIN
+    with pytest.raises(DisconnectedError) as err:
+        _circuit_order(g)
+    assert err.value.component_edge_counts == (33,) * 5368 + (3,)
+    assert is_connected(g) == (False, 5369)
+
+
+_CACHED = {"sources", "targets", "vertex_codes", "_degrees"}
+
+
+def _circuit_peak(g):
+    """The traced peak of _circuit_order(g), in int32 arrays of the edge
+    count, on a graph with nothing cached."""
+    assert not _CACHED & g.__dict__.keys()
+    tracemalloc.start()
+    try:
+        _circuit_order(g)
+        return tracemalloc.get_traced_memory()[1] / (4 * g.edge_count)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build,bound", [
+    # The pairing's layout, the forest's candidates and the splice read
+    # 6.3 int32 arrays of m; with in_order, number, the walk's trail and
+    # sources and targets cached on the graph kept alive, they read 10.3.
+    (lambda: end_difference_graph(8, 7), 7),
+    # The forest's first round over 280,580 candidates for 15,873 cycles
+    # reads 8.6; it read 13.3.
+    (lambda: lifted_low_pseudoweight_graph(7, 6), 9),
+], ids=["a-8-7", "lempel-7-7"])
+def test_circuit_peak_memory(build, bound):
+    g = build()
+    assert _circuit_peak(g) <= bound
+    # The circuit leaves no array of m on the graph.
+    assert not _CACHED & g.__dict__.keys()
 
 
 def test_eulerian_circuit_full_graph():
