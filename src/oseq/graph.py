@@ -358,9 +358,10 @@ def _cycle_layout(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     One _walk places each ruler at the sum of the gaps before it in the
     layout of the ruler permutation, and each element on the trail its
-    step count after its walk's ruler.  Cycles without a ruler, and
-    arrays under _WALK_MIN or too adversarial to walk, are laid out by
-    pointer doubling, in the order of their smallest elements.
+    step count after its walk's ruler (whose slot overwrites the trail's
+    ruler column; the trail is freed once placed).  Cycles without a
+    ruler, and arrays under _WALK_MIN or too adversarial to walk, are
+    laid out by pointer doubling, in the order of their smallest elements.
     """
     m, index = succ.size, succ.dtype
     walk = _walk(succ) if m >= _WALK_MIN else None
@@ -380,7 +381,7 @@ def _cycle_layout(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gap[np.take(ruler_pos, who[met])] = place[met]
     start = np.cumsum(gap, dtype=index) - gap
     heads, start = start[heads], np.take(start, ruler_pos)
-    place += start[who]
+    place += np.take(start, who, out=who, mode="clip")
     pos = np.full(m, -1, dtype=index)
     pos[seen] = place
     pos[::_RULER_STRIDE] = start
@@ -456,9 +457,8 @@ def _spanning_forest(a: np.ndarray, b: np.ndarray,
             edge, ca, cb = edge[keep], ca[keep], cb[keep]
         # Edges stay in weight order, so the position is the weight.
         lightest = np.full(count, edge.size, dtype=index)
-        rank = np.arange(edge.size, dtype=index)
-        np.minimum.at(lightest, ca, rank)
-        np.minimum.at(lightest, cb, rank)
+        for side in (ca, cb):
+            np.minimum.at(lightest, side, np.arange(edge.size, dtype=index))
         roots = np.flatnonzero(lightest < edge.size).astype(index, copy=False)
         best = lightest[roots]
         other = np.where(ca[best] == roots, cb[best], ca[best])
@@ -476,8 +476,8 @@ def _spanning_forest(a: np.ndarray, b: np.ndarray,
         renumber, count = np.take(renumber, parent), int(renumber[-1]) + 1
         comp = np.take(renumber, comp)
         picked.append(edge[_sorted_unique(best)])
-        ca, cb = renumber[ca], renumber[cb]
-        keep = ca != cb
+        ca, cb = np.take(renumber, ca), np.take(renumber, cb)
+        keep = np.flatnonzero(ca != cb)
         edge, ca, cb = edge[keep], ca[keep], cb[keep]
     joins = np.sort(np.concatenate(picked)) if picked else edge[:0]
     return joins, comp
@@ -561,7 +561,7 @@ def _circuit_order(g: DBSubgraph) -> np.ndarray:
     first = np.flatnonzero(cuts[:m]).astype(index)
     last = np.append(first[1:], m) - 1
     # Each piece ends at an edge whose successor starts a piece.
-    after = np.searchsorted(first, pos[succ[order[last]]]).astype(index)
+    after = (np.cumsum(cuts[:m], dtype=index) - 1)[pos[succ[order[last]]]]
     piece = np.empty_like(after)
     piece[_doubling_ranks(after, 0, after.size)] = np.arange(after.size, dtype=index)
     length = np.take(last - first + 1, piece)

@@ -305,12 +305,13 @@ def _circuit_peak(g):
 
 
 @pytest.mark.parametrize("build,bound", [
-    # The pairing's layout, the forest's candidates and the splice read
-    # 6.3 int32 arrays of m; with in_order, number, the walk's trail and
-    # sources and targets cached on the graph kept alive, they read 10.3.
+    # The cycle numbers, the forest's candidates and the splice each
+    # read about 6.5 int32 arrays of m.  With sources and targets cached
+    # on the graph, and in_order and the walk's trail kept alive, the
+    # layout read 10.3.
     (lambda: end_difference_graph(8, 7), 7),
     # The forest's first round over 280,580 candidates for 15,873 cycles
-    # reads 8.6; it read 13.3.
+    # reads 8.5; it read 13.3.
     (lambda: lifted_low_pseudoweight_graph(7, 6), 9),
 ], ids=["a-8-7", "lempel-7-7"])
 def test_circuit_peak_memory(build, bound):
