@@ -358,10 +358,9 @@ def _cycle_layout(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     One _walk places each ruler at the sum of the gaps before it in the
     layout of the ruler permutation, and each element on the trail its
-    step count after its walk's ruler (whose slot overwrites the trail's
-    ruler column; the trail is freed once placed).  Cycles without a
-    ruler, and arrays under _WALK_MIN or too adversarial to walk, are
-    laid out by pointer doubling, in the order of their smallest elements.
+    step count after its walk's ruler, whose slot overwrites who in place.
+    Cycles without a ruler, and arrays under _WALK_MIN or too adversarial
+    to walk, are laid out by pointer doubling, ordered by smallest element.
     """
     m, index = succ.size, succ.dtype
     walk = _walk(succ) if m >= _WALK_MIN else None
@@ -428,10 +427,10 @@ def _doubling_ranks(succ: np.ndarray, first: np.ndarray | int,
     return np.take(hops, first) - hops
 
 
-def _spanning_forest(a: np.ndarray, b: np.ndarray,
+def _spanning_forest(ca: np.ndarray, cb: np.ndarray,
                      nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimum spanning forest of the multigraph on nodes 0..nodes-1 whose
-    edge i joins a[i] != b[i] and weighs i, by Borůvka's rounds.
+    edge i joins ca[i] != cb[i] and weighs i, by Borůvka's rounds.
 
     Each round, every component hooks onto its lightest edge leaving it;
     the weights are distinct, so those edges belong to the one minimum
@@ -440,13 +439,12 @@ def _spanning_forest(a: np.ndarray, b: np.ndarray,
     list, only the lightest edge between each pair is kept.  Returns the
     forest's edges ascending and each node's component, numbered from 0.
     """
-    index = a.dtype
+    index = ca.dtype
     comp = np.arange(nodes, dtype=index)
     count = nodes
-    edge = np.arange(a.size, dtype=index)
+    edge = np.arange(ca.size, dtype=index)
     # Each node is its own component and every edge leaves it, so the
     # first round starts from the edges as given.
-    ca, cb = a, b
     picked = []
     while edge.size:
         if count * count <= edge.size:
@@ -478,7 +476,10 @@ def _spanning_forest(a: np.ndarray, b: np.ndarray,
         picked.append(edge[_sorted_unique(best)])
         ca, cb = np.take(renumber, ca), np.take(renumber, cb)
         keep = np.flatnonzero(ca != cb)
-        edge, ca, cb = edge[keep], ca[keep], cb[keep]
+        # One at a time, so that each old array is freed before the next.
+        edge = edge[keep]
+        ca = ca[keep]
+        cb = cb[keep]
     joins = np.sort(np.concatenate(picked)) if picked else edge[:0]
     return joins, comp
 
@@ -532,8 +533,7 @@ def _join_cycles(g: DBSubgraph):
         sizes = np.bincount(comp, weights=np.diff(heads, append=m))
         raise DisconnectedError(sorted(sizes.astype(int).tolist(), reverse=True))
     at = at[joins]
-    # Edges at and at + 1 leave one vertex v; their predecessors are the
-    # in-edges c * k**order + v of v (ascending, row c) that lead to them.
+    # x, y lead to at, at + 1: in-edges c * k**order + v (row c) of their source v.
     ins = np.arange(k, dtype=edges.dtype)[:, None] * k**g.order + edges[at] // k
     found = np.minimum(np.searchsorted(edges, ins), m - 1)
     into = np.where(edges[found] == ins, succ[found] - at, -1)
