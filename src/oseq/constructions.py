@@ -200,7 +200,8 @@ def lempel_lift(g: DBSubgraph) -> DBSubgraph:
     """Preimage of an edge set under the difference map: k edges per edge,
     one order up.  Row a of a (k, m) block gets, by Horner's rule, one
     column at a time, the prefix sums of the edges' symbols plus a, modulo
-    k: the preimages starting with a, so sorting each row sorts the block.
+    k, gathered by intp index from a table of the residues (a + i) % k: the
+    preimages starting with a, so sorting each row sorts the block.
     """
     k = g.k
     length = g.order + 1
@@ -209,7 +210,8 @@ def lempel_lift(g: DBSubgraph) -> DBSubgraph:
     dtype = _index_dtype(k ** (length + 1))
     edges = g.edges.astype(dtype, copy=False)
     lifted = np.repeat(np.arange(k, dtype=dtype)[:, None], g.edge_count, axis=1)
-    prefix, symbol = np.zeros_like(edges), np.empty_like(edges)
+    residue = np.arange(2 * k, dtype=dtype) % k
+    prefix, symbol = np.zeros(edges.size, dtype=np.intp), np.empty_like(edges)
     for j in range(length - 1, -1, -1):
         # edges // k**j is the prefix's last symbol modulo k.
         np.floor_divide(edges, k**j, out=symbol)
@@ -217,7 +219,7 @@ def lempel_lift(g: DBSubgraph) -> DBSubgraph:
         prefix %= k
         for a, row in enumerate(lifted):
             row *= k
-            row += np.remainder(np.add(prefix, a, out=symbol), k, out=symbol)
+            row += np.take(residue[a:], prefix, out=symbol, mode="clip")
     del prefix, symbol  # freed before the graph checks the edges' order
     lifted.sort(axis=1)
     return DBSubgraph(k, length, _read_only(lifted.ravel()))

@@ -484,11 +484,14 @@ def _spanning_forest(ca: np.ndarray, cb: np.ndarray,
     return joins, comp
 
 
+# The forest reads the in-edge positions in chunks that double from this size.
+_JOIN_CHUNK = 1 << 16
+
+
 def _join_cycles(g: DBSubgraph):
-    """(succ, pos, cuts): the successor of each edge, as edge indexes,
-    once the canonical cycle joining has left one cycle; each edge's slot
-    in the pairing's _cycle_layout; and a mask over the slots and m: cycle
-    starts, and each slot after an edge whose successor the joins changed.
+    """(succ, pos, heads, at): the pairing's successors, as edge indexes,
+    their _cycle_layout, and the positions p, ascending, whose in-edges p
+    and p + 1 the canonical cycle joining swaps.
 
     Pairing the j-th in-edge with the j-th out-edge of every vertex, both
     in code order, splits the edges into cycles; the pairing exists
@@ -498,10 +501,11 @@ def _join_cycles(g: DBSubgraph):
     Lempel's cycle joining).  The joins are the ones an in-order scan with
     a union-find over the cycles makes at consecutive in-edges, vertices
     in code order: the minimum spanning forest of the cycle pairs weighted
-    by position, which Borůvka's rounds find in a few vectorised passes.
-    Each run of consecutive joins is one rotation of successors.  If some
-    cycles share no vertex, a DisconnectedError counts the edges of the
-    forest's components: the weak, so in a balanced graph the strong, ones.
+    by position.  The scan joins nothing once the cycles connect, so the
+    positions are read in chunks of doubling size, their cycles relabelled
+    by the components so far, and Borůvka's rounds join each chunk.  If
+    some cycles share no vertex, a DisconnectedError counts the edges of
+    the forest's components: the weak, so in a balanced graph the strong.
     """
     m, k, edges = g.edge_count, g.k, g.edges
     index = _index_dtype(m)
@@ -518,50 +522,56 @@ def _join_cycles(g: DBSubgraph):
     succ[in_order] = np.arange(m, dtype=index)
     del in_order
     pos, heads = _cycle_layout(succ)
-    cuts = np.zeros(m + 1, dtype=bool)
-    cuts[heads] = True
-    if heads.size == 1:
-        return succ, pos, cuts
-    # Number the cycles 0, 1, ... in the order of their slots.
-    number = np.take(np.cumsum(cuts[:m], dtype=index) - 1, pos)
-    # The in-edges at positions p and p + 1 lead to edges p and p + 1.
-    at = np.flatnonzero(shared & (number[1:] != number[:-1])).astype(index)
-    a, b = number[at], number[at + 1]
-    del number, shared
-    joins, comp = _spanning_forest(a, b, heads.size)
-    if joins.size != heads.size - 1:
+    # The cycles are numbered 0, 1, ... in the order of their slots; comp
+    # maps each to its component over the chunks read so far.
+    cycle = np.repeat(np.arange(heads.size, dtype=index), np.diff(heads, append=m))
+    comp, count = np.arange(heads.size, dtype=index), heads.size
+    picked, hi = [heads[:0]], 0
+    while count > 1 and hi < m - 1:
+        lo, hi = hi, min(2 * hi + _JOIN_CHUNK, m - 1)
+        # The in-edges at positions p and p + 1 lead to edges p and p + 1.
+        label = np.take(comp, np.take(cycle, pos[lo:hi + 1]))
+        at = np.flatnonzero(shared[lo:hi] & (label[1:] != label[:-1]))
+        joins, comp_of = _spanning_forest(label[at], label[at + 1], count)
+        picked.append(at[joins] + lo)
+        comp, count = np.take(comp_of, comp), count - joins.size
+    if count > 1:
         sizes = np.bincount(comp, weights=np.diff(heads, append=m))
         raise DisconnectedError(sorted(sizes.astype(int).tolist(), reverse=True))
-    at = at[joins]
-    # x, y lead to at, at + 1: in-edges c * k**order + v (row c) of their source v.
-    ins = np.arange(k, dtype=edges.dtype)[:, None] * k**g.order + edges[at] // k
-    found = np.minimum(np.searchsorted(edges, ins), m - 1)
-    into = np.where(edges[found] == ins, succ[found] - at, -1)
-    x, y = (np.where(into == step, found, 0).sum(axis=0) for step in (0, 1))
-    run_start = np.ones(at.size, dtype=bool)
-    np.not_equal(at[1:], at[:-1] + 1, out=run_start[1:])
-    run_end = np.roll(run_start, -1)
-    succ[x] = at + 1
-    succ[y[run_end]] = at[run_start]
-    cuts[np.take(pos, np.concatenate([x, y[run_end]])) + 1] = True
-    return succ, pos, cuts
+    return succ, pos, heads, np.concatenate(picked)
 
 
 def _circuit_order(g: DBSubgraph) -> np.ndarray:
-    """The edge indexes of g in canonical circuit order, from edge 0: the
-    pieces of the pairing's layout between cuts, which the joined
-    successors follow whole, ranked from the one at slot 0 and read out
-    by one gather through the layout's inverse."""
+    """The edge indexes of g in canonical circuit order, from edge 0.
+
+    A join at p gives new successors to the pairing's predecessors of p and
+    p + 1, the edges at the slots before theirs (at a cycle's first slot, at
+    its last), and each run of joins rotates successors.  The joined
+    successors follow whole the pieces of the layout between cuts, which
+    are ranked from the one at slot 0 and read out through its inverse.
+    """
     if g.edge_count == 0:
         raise DomainError("Eulerian circuit requires at least one edge")
-    succ, pos, cuts = _join_cycles(g)
+    succ, pos, heads, at = _join_cycles(g)
     m, index = succ.size, succ.dtype
     order = np.empty_like(succ)
     order[pos] = np.arange(m, dtype=index)
+    cuts = np.zeros(m + 1, dtype=bool)
+    cuts[heads] = True
+    slot = np.take(pos, np.stack([at, at + 1]))
+    end = np.append(heads, m)[np.searchsorted(heads, slot, side="right")]
+    before = np.where(cuts[slot], end, slot) - 1
+    x, y = np.take(order, before)
+    run_start = np.diff(at, prepend=-2) != 1
+    run_end = np.roll(run_start, -1)
+    succ[x] = at + 1
+    succ[y[run_end]] = at[run_start]
+    cuts[np.concatenate([before[0], before[1][run_end]]) + 1] = True
     first = np.flatnonzero(cuts[:m]).astype(index)
     last = np.append(first[1:], m) - 1
     # Each piece ends at an edge whose successor starts a piece.
-    after = (np.cumsum(cuts[:m], dtype=index) - 1)[pos[succ[order[last]]]]
+    after = np.cumsum(cuts[:m], dtype=index)[pos[succ[order[last]]]] - 1
+    del succ, pos, cuts
     piece = np.empty_like(after)
     piece[_doubling_ranks(after, 0, after.size)] = np.arange(after.size, dtype=index)
     length = np.take(last - first + 1, piece)

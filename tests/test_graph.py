@@ -305,14 +305,14 @@ def _circuit_peak(g):
 
 
 @pytest.mark.parametrize("build,bound", [
-    # The cycle numbers, the forest's candidates and the splice each
-    # read about 6.5 int32 arrays of m.  With sources and targets cached
-    # on the graph, and in_order and the walk's trail kept alive, the
-    # layout read 10.3.
+    # The layout placing the walk's trail reads about 6.4 int32 arrays
+    # of m; caching sources and targets on the graph, or keeping in_order
+    # and the trail alive, would pass 7.
     (lambda: end_difference_graph(8, 7), 7),
-    # The forest's first round over 280,580 candidates for 15,873 cycles
-    # reads 8.5; it read 13.3.
-    (lambda: lifted_low_pseudoweight_graph(7, 6), 9),
+    # The splice reads about 6.1 once the pairing's successors and layout
+    # are freed; numbering the cycles of all m positions at once, with
+    # the forest's candidates over them, would read 8.5.
+    (lambda: lifted_low_pseudoweight_graph(7, 6), 8),
 ], ids=["a-8-7", "lempel-7-7"])
 def test_circuit_peak_memory(build, bound):
     g = build()
@@ -768,45 +768,46 @@ def _union_find_joins(succ, in_order, sources):
     return joins
 
 
-@settings(max_examples=60, deadline=None)
+# The forest's first chunk sizes: one position (then 2, 4, ...), three,
+# and the default, which reads these small graphs in one chunk.
+_CHUNKS = [1, 3, graph._JOIN_CHUNK]
+
+
+@settings(max_examples=90, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
-       st.sets(st.integers(0, 2), min_size=1), st.integers(1, 6))
-def test_joins_match_union_find_reference(k, order, seed, parts, walks):
+       st.sets(st.integers(0, 2), min_size=1), st.integers(1, 6),
+       st.sampled_from(_CHUNKS))
+def test_joins_match_union_find_reference(k, order, seed, parts, walks, chunk):
     # Connected unions (one part) and split ones (two or three parts).
+    # Small chunks relabel later chunks by the components so far, stop
+    # before the last position once the cycles connect, and read every
+    # chunk before a DisconnectedError.
     g = _split_union(k, order, seed, parts, walks)
     assume(g.edge_count)
     index = _index_dtype(g.edge_count)
     in_order, succ = _pairing(g)
-    pairing = succ.copy()
-    try:
-        want = _union_find_joins(succ, in_order, g.sources)
-    except DisconnectedError as exc:
-        with pytest.raises(DisconnectedError) as err:
-            _joins_without_loops(g)
-        assert err.value.component_edge_counts == exc.component_edge_counts
-        return
-    # The joined successors fix the join set: the rotations equal the
-    # scan's successive swaps.
-    for p in want:
-        x, y = in_order[p], in_order[p + 1]
-        succ[x], succ[y] = succ[y], succ[x]
-    joined, pos, cuts = _joins_without_loops(g)
-    assert joined.dtype == pos.dtype == index
-    assert np.array_equal(joined, succ)
-    # pos is the pairing's layout, a permutation of the slots; cuts marks
-    # each cycle's first slot and each slot after a changed successor.
-    layout, heads = _cycle_layout(pairing)
-    assert sorted(pos.tolist()) == list(range(g.edge_count))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_JOIN_CHUNK", chunk)
+        try:
+            want = _union_find_joins(succ, in_order, g.sources)
+        except DisconnectedError as exc:
+            with pytest.raises(DisconnectedError) as err:
+                _joins_without_loops(g)
+            assert err.value.component_edge_counts == exc.component_edge_counts
+            return
+        pairing, pos, heads, at = _joins_without_loops(g)
+    assert pairing.dtype == pos.dtype == heads.dtype == index
+    assert np.array_equal(pairing, succ)
+    assert at.tolist() == want
+    # pos and heads are the pairing's layout.
+    layout, layout_heads = _cycle_layout(succ)
     assert np.array_equal(pos, layout)
-    moved = np.flatnonzero(joined != pairing)
-    assert cuts.size == g.edge_count + 1
-    assert set(np.flatnonzero(cuts).tolist()) == set(heads.tolist()) | set(
-        (pos[moved] + 1).tolist())
+    assert np.array_equal(heads, layout_heads)
 
 
 def _joins_without_loops(g):
     """_join_cycles(g), checking that every candidate it hands to
-    _spanning_forest joins two different cycles, as its first round
+    _spanning_forest joins two different components, as its first round
     assumes."""
     def forest(a, b, nodes):
         assert not np.any(a == b)
@@ -814,6 +815,24 @@ def _joins_without_loops(g):
 
     with mock.patch.object(graph, "_spanning_forest", forest):
         return _join_cycles(g)
+
+
+def test_joins_stop_once_the_cycles_connect(monkeypatch):
+    # With chunks of 1, 2, 4, ... positions, the chunk holding position p
+    # is number (p + 1).bit_length(); the forest reads none after the one
+    # holding the last join, far short of the last position.
+    g = end_difference_graph(5, 8)
+    _, _, _, at = _join_cycles(g)
+    calls = []
+
+    def forest(a, b, nodes):
+        calls.append(a.size)
+        return _spanning_forest(a, b, nodes)
+
+    monkeypatch.setattr(graph, "_JOIN_CHUNK", 1)
+    monkeypatch.setattr(graph, "_spanning_forest", forest)
+    assert np.array_equal(_join_cycles(g)[3], at)
+    assert len(calls) == (int(at[-1]) + 1).bit_length() < g.edge_count.bit_length() - 1
 
 
 def _pairing(g):
@@ -825,14 +844,20 @@ def _pairing(g):
     return in_order, succ
 
 
-def _assert_splice_matches_walk(g, stride, wide, walk_min=2):
+def _assert_splice_matches_walk(g, stride, wide, walk_min=2,
+                                chunk=graph._JOIN_CHUNK):
     """_circuit_order from the pairing's layout, with graphs of walk_min
-    edges and up walked and rulers every stride elements, equals a
-    pure-Python walk of the joined successors from edge 0, or raises the
-    same DisconnectedError as the unpatched joins.  Returns the splice
-    cases the graph meets."""
+    edges and up walked, rulers every stride elements and the forest's
+    first chunk of chunk positions, equals a pure-Python walk of the
+    successors that the union-find reference joins, from edge 0, or
+    raises the reference's DisconnectedError.  Returns the splice cases
+    the graph meets."""
+    in_order, succ = _pairing(g)
+    joined = succ.copy()
     try:
-        joined, _, _ = _join_cycles(g)
+        for p in _union_find_joins(succ, in_order, g.sources):
+            x, y = in_order[p], in_order[p + 1]
+            joined[x], joined[y] = joined[y], joined[x]
     except DisconnectedError as exc:
         want = exc.component_edge_counts
     else:
@@ -843,6 +868,7 @@ def _assert_splice_matches_walk(g, stride, wide, walk_min=2):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_WALK_MIN", walk_min)
         mp.setattr(graph, "_RULER_STRIDE", stride)
+        mp.setattr(graph, "_JOIN_CHUNK", chunk)
         if wide:
             mp.setattr(graph, "_index_dtype", lambda m: np.int64)
         try:
@@ -852,7 +878,6 @@ def _assert_splice_matches_walk(g, stride, wide, walk_min=2):
             return set()
         assert got.dtype == (np.int64 if wide else np.int32)
         assert got.tolist() == want
-        _, succ = _pairing(g)
         pos, heads = _cycle_layout(succ)
     cases = set()
     # A run of r joins changes r + 1 successors, a lone join 2.
@@ -870,27 +895,30 @@ def _assert_splice_matches_walk(g, stride, wide, walk_min=2):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
        st.sets(st.integers(0, 2), min_size=1), st.integers(1, 8),
-       st.sampled_from([2, 4, 64]), st.sampled_from([2, graph._WALK_MIN]))
+       st.sampled_from([2, 4, 64]), st.sampled_from([2, graph._WALK_MIN]),
+       st.sampled_from(_CHUNKS))
 @pytest.mark.parametrize("wide", [False, True])
 def test_splice_matches_walk_of_joined_successors(wide, k, order, seed,
                                                   parts, walks, stride,
-                                                  walk_min):
+                                                  walk_min, chunk):
     # At the real _WALK_MIN these graphs are laid out by doubling, the
     # path every table cell takes; at 2 every graph is walked.
     g = _split_union(k, order, seed, parts, walks)
     assume(g.edge_count)
-    _assert_splice_matches_walk(g, stride, wide, walk_min)
+    _assert_splice_matches_walk(g, stride, wide, walk_min, chunk)
 
 
 def test_splice_reference_meets_every_case():
     # Seeded connected unions that together hold a join on the last slot
     # of its cycle (its cut wraps to the next cycle's start), a run of
-    # consecutive joins (a rotation) and a cycle without a ruler.
+    # consecutive joins (a rotation) and a cycle without a ruler; each
+    # with every chunk size.
     cases = collections.Counter()
     for seed in range(30):
-        for stride in (2, 4):
+        for stride, chunk in itertools.product((2, 4), _CHUNKS):
             g = _eulerian_union(3, 2, seed, 8)
-            cases.update(_assert_splice_matches_walk(g, stride, wide=False))
+            cases.update(_assert_splice_matches_walk(g, stride, wide=False,
+                                                     chunk=chunk))
     assert set(cases) == {"rotation", "wrapping cut", "no ruler"}
 
 
