@@ -312,46 +312,50 @@ def _index_dtype(m: int) -> type:
     return np.int32 if m < 2**31 else np.int64
 
 
-# From this many elements on, _cycle_layout walks from sparse rulers in O(m);
-# below, doubling's log2(m) passes cost less (break-even ~150k edges).
-_WALK_MIN = 1 << 17
-# Every multiple of the stride (a power of two) is a ruler.  The longest
-# gap between rulers on the golden cells spans about 10 strides, so a walk
-# still going after the bound meets an adversarial order; doubling takes over.
-_RULER_STRIDE = 64
-_WALK_BOUND = 32 * _RULER_STRIDE
+# From this many elements on, _cycle_layout walks from rulers in O(m);
+# below, doubling's log2(m) passes cost less.  A ruler-free remainder walks
+# only from _REST_WALK_MIN on: most of its short cycles hold no ruler.
+_WALK_MIN = 1 << 11
+_REST_WALK_MIN = 1 << 17
 
 
-def _walk(succ: np.ndarray):
+def _ruler_stride(m: int) -> int:
+    """Every multiple of this power of two, about m / 4096 from 4 to 64,
+    is a ruler.  The longest gap between rulers on the golden cells spans
+    15 strides, so a walk past 32 meets an adversarial order."""
+    return min(64, max(4, 2 ** (m.bit_length() - 13)))
+
+
+def _walk(succ: np.ndarray, stride: int):
     """Follow the permutation succ from every ruler at once until each
     walker meets the next ruler: one gather per step for all walkers
     (a sparse ruling set, after Helman & JáJá, JPDC 2001).
 
-    Ruler r is element r * _RULER_STRIDE.  Returns None once a walk
-    passes _WALK_BOUND steps, else the trail: seen lists each element a
-    walk reached, its next ruler included; who is the ruler that walk
-    began at; step s + 1 wrote sizes[s] entries.  The two m-element
-    blocks are preallocated (per-step lists took 6% more peak RSS).
+    Ruler r is element r * stride.  Returns None once a walk passes
+    32 strides of steps, else the trail: seen lists each element a walk
+    reached, its next ruler included; who is the ruler that walk began
+    at; step s + 1 wrote sizes[s] entries.  The two m-element blocks are
+    preallocated (per-step lists took 6% more peak RSS).
     """
     index = succ.dtype
-    here = np.arange(0, succ.size, _RULER_STRIDE, dtype=index)
+    here = np.arange(0, succ.size, stride, dtype=index)
     walker = np.arange(here.size, dtype=index)
     seen, who = np.empty_like(succ), np.empty_like(succ)
     sizes, filled = [], 0
-    for _ in range(_WALK_BOUND):
+    for _ in range(32 * stride):
         here = np.take(succ, here)
         seen[filled:filled + here.size] = here
         who[filled:filled + here.size] = walker
         sizes.append(here.size)
         filled += here.size
-        going = (here & (_RULER_STRIDE - 1)) != 0
+        going = (here & (stride - 1)) != 0
         walker, here = walker[going], here[going]
         if here.size == 0:
             return seen[:filled], who[:filled], sizes
     return None
 
 
-def _cycle_layout(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cycle_layout(succ: np.ndarray, floor: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """A slot for each element of the permutation succ, and each cycle's
     first slot, ascending: every cycle fills consecutive slots in
     successor order, and element 0 sits at slot 0.
@@ -359,11 +363,13 @@ def _cycle_layout(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     One _walk places each ruler at the sum of the gaps before it in the
     layout of the ruler permutation, and each element on the trail its
     step count after its walk's ruler, whose slot overwrites who in place.
-    Cycles without a ruler, and arrays under _WALK_MIN or too adversarial
-    to walk, are laid out by pointer doubling, ordered by smallest element.
+    Arrays under _WALK_MIN or the floor given (the cycles without a
+    ruler pass _REST_WALK_MIN), and arrays too adversarial to walk, are
+    laid out by pointer doubling, ordered by smallest element.
     """
     m, index = succ.size, succ.dtype
-    walk = _walk(succ) if m >= _WALK_MIN else None
+    stride = _ruler_stride(m)
+    walk = _walk(succ, stride) if m >= max(floor, _WALK_MIN) else None
     if walk is None:
         labels = _doubling_labels(succ)
         size = np.bincount(labels).astype(index)
@@ -372,9 +378,9 @@ def _cycle_layout(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.take(start, labels) + ranks, start[size > 0]
     seen, who, sizes = walk
     place = np.repeat(np.arange(1, len(sizes) + 1, dtype=index), sizes)
-    met = np.flatnonzero((seen & (_RULER_STRIDE - 1)) == 0)  # the walks' ends
-    link = np.empty_like(succ[::_RULER_STRIDE])
-    link[who[met]] = seen[met] // _RULER_STRIDE
+    met = np.flatnonzero((seen & (stride - 1)) == 0)  # the walks' ends
+    link = np.empty_like(succ[::stride])
+    link[who[met]] = seen[met] // stride
     ruler_pos, heads = _cycle_layout(link)
     gap = np.empty_like(link)
     gap[np.take(ruler_pos, who[met])] = place[met]
@@ -383,7 +389,7 @@ def _cycle_layout(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     place += np.take(start, who, out=who, mode="clip")
     pos = np.full(m, -1, dtype=index)
     pos[seen] = place
-    pos[::_RULER_STRIDE] = start
+    pos[::stride] = start
     placed = seen.size - met.size + link.size
     del walk, seen, who, place
     if placed < m:
@@ -391,7 +397,8 @@ def _cycle_layout(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # The cycles off the trail are closed under succ; until they are
         # placed, pos maps each of their elements to its place in rest.
         pos[rest] = np.arange(rest.size, dtype=index)
-        rest_pos, rest_heads = _cycle_layout(np.take(pos, np.take(succ, rest)))
+        rest_pos, rest_heads = _cycle_layout(np.take(pos, np.take(succ, rest)),
+                                             _REST_WALK_MIN)
         pos[rest] = rest_pos + placed
         heads = np.concatenate([heads, rest_heads + placed])
     return pos, heads
@@ -609,9 +616,9 @@ def eulerian_circuit(g: DBSubgraph) -> EulerianCircuit:
     component's edge count.
 
     Every step is a few O(m) numpy passes: the pairing's cycles are laid
-    out by one walk from sparse rulers (pointer doubling on small or
-    adversarial inputs), a Borůvka spanning forest picks the joins, and
-    at every size the circuit is spliced from the layout's pieces.
+    out by one walk from rulers about m/4096 apart (pointer doubling on
+    tiny or adversarial inputs), a Borůvka spanning forest picks the
+    joins, and at every size the circuit is spliced from the layout's pieces.
     """
     order = _circuit_order(g)
     start = code_to_tuple(int(g.edges[0]) // g.k, g.k, g.order)

@@ -115,7 +115,9 @@ def _status(value: int, golden: int | None) -> str:
 def _period_cell(which: str, golden: int | None, method: Method,
                  n: int, k: int, cell_cap: int) -> TableCell:
     recipe = ConstructionRecipe(method, k, n)
-    if expected_period(recipe) > cell_cap:
+    # A lift's period is k times its base's edges: k**(n-2)*(k-2)//2 or more.
+    if (method is Method.LEMPEL_LIFT and k * (k**(n - 2) * (k - 2) // 2) > cell_cap
+            or expected_period(recipe) > cell_cap):
         return TableCell(which, n, k, None, None, "computed", STATUS_SKIPPED)
     seq = generate(recipe)
     bound = period_upper_bound(k, n)

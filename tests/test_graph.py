@@ -279,10 +279,10 @@ def test_connectivity_matches_tarjan_on_split_cells(k, n):
 
 
 def test_split_cell_walked_from_rulers_names_its_components():
-    # Large enough for _cycle_layout's walk; Tarjan's count above covers
-    # only the split cells below _WALK_MIN.
+    # Past _REST_WALK_MIN, walked at a stride of 32; Tarjan's count above
+    # covers the split cells on both sides of _WALK_MIN.
     g = end_difference_graph(3, 12)
-    assert g.edge_count == 177_147 >= graph._WALK_MIN
+    assert g.edge_count == 177_147 >= graph._REST_WALK_MIN
     with pytest.raises(DisconnectedError) as err:
         _circuit_order(g)
     assert err.value.component_edge_counts == (33,) * 5368 + (3,)
@@ -569,9 +569,9 @@ def test_circuit_with_wide_indexes(monkeypatch):
 @given(st.integers(1, 400), st.randoms(use_true_random=False))
 def test_doubling_helpers_in_int64(m, rnd):
     # Random cycles, laid out and checked against plain walks: by pointer
-    # doubling at these sizes, and by ruler walks with the size constant
-    # patched down, so that cycles with and without a ruler both occur.
-    # (At 2 the walks recurse down to a single ruler and stop there.)
+    # doubling at these sizes, and by ruler walks with both floors patched
+    # down, so that cycles with and without a ruler both occur.  (At 2 the
+    # walks recurse down to a single ruler and stop there.)
     order = rnd.sample(range(m), m)
     cuts = sorted(rnd.sample(range(1, m), rnd.randint(0, m - 1)))
     cycles = [order[lo:hi] for lo, hi in zip([0] + cuts, cuts + [m])]
@@ -587,6 +587,7 @@ def test_doubling_helpers_in_int64(m, rnd):
     for walk_min in (graph._WALK_MIN, 2):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph, "_WALK_MIN", walk_min)
+            mp.setattr(graph, "_REST_WALK_MIN", walk_min)
             pos, heads = _cycle_layout(succ)
             ranks, one_head = _cycle_layout(whole)
         assert pos.dtype == heads.dtype == np.int64
@@ -645,58 +646,109 @@ class _CountingNumpy:
 
 def test_ruler_walk_stops_at_its_bound(monkeypatch):
     # One cycle that visits every non-ruler before any ruler: the last
-    # ruler's walk would need m - m/stride steps.  It must give up after
-    # the bound, one gather of succ per step, and doubling must finish.
-    stride = graph._RULER_STRIDE
-    m = stride * (graph._WALK_BOUND // stride + 8)
-    cycle = [i for i in range(m) if i % stride] + list(range(0, m, stride))
-    assert m - m // stride > graph._WALK_BOUND
-    succ = np.empty(m, dtype=np.int64)
-    succ[cycle] = np.roll(cycle, -1)
-    monkeypatch.setattr(graph, "_WALK_MIN", 2)
-    counting = _CountingNumpy(succ)
-    monkeypatch.setattr(graph, "np", counting)
-    pos, heads = _cycle_layout(succ)
-    # The walk's gathers, then doubling's first pointer jump; the ranks
-    # start from np.where, not from a gather of succ.
-    assert counting.gathers == graph._WALK_BOUND + 1
-    walk = cycle[cycle.index(0):] + cycle[:cycle.index(0)]
-    assert pos[walk].tolist() == list(range(m))
-    assert heads.tolist() == [0]
+    # ruler's walk would need m - m/stride steps, at each size's stride
+    # (4, 16 and 64).  It must give up after 32 strides, one gather of
+    # succ per step, and doubling must finish.
+    for m in (2**12, 2**16, 2**18):
+        stride = graph._ruler_stride(m)
+        cycle = [i for i in range(m) if i % stride] + list(range(0, m, stride))
+        assert m >= graph._WALK_MIN and m - m // stride > 32 * stride
+        succ = np.empty(m, dtype=np.int64)
+        succ[cycle] = np.roll(cycle, -1)
+        counting = _CountingNumpy(succ)
+        monkeypatch.setattr(graph, "np", counting)
+        pos, heads = _cycle_layout(succ)
+        # The walk's gathers, then doubling's first pointer jump; the ranks
+        # start from np.where, not from a gather of succ.
+        assert counting.gathers == 32 * stride + 1
+        walk = cycle[cycle.index(0):] + cycle[:cycle.index(0)]
+        assert pos[walk].tolist() == list(range(m))
+        assert heads.tolist() == [0]
+
+
+def test_ruler_stride_scales_with_the_permutation():
+    # About m / 4096, a power of two from 4 to 64.
+    assert [graph._ruler_stride(2**e) for e in range(11, 20)] == [4, 4, 4, 4, 8,
+                                                                  16, 32, 64, 64]
+    assert graph._ruler_stride(2**31) == 64
+
+
+def _walks_and_doublings(g):
+    """The pairing of g, its circuit order, and the (size, stride, steps)
+    of each _walk and the size of each _doubling_labels that it ran."""
+    walked, doubled, pairing = [], [], []
+    walk, labels = graph._walk, graph._doubling_labels
+
+    def counted_walk(succ, stride):
+        if succ.size == g.edge_count:
+            pairing.append(succ.copy())
+        trail = walk(succ, stride)
+        walked.append((succ.size, stride, len(trail[2])))
+        return trail
+
+    def counted_labels(succ):
+        doubled.append(succ.size)
+        return labels(succ)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_walk", counted_walk)
+        mp.setattr(graph, "_doubling_labels", counted_labels)
+        order = _circuit_order(g)
+    return pairing[0], order, walked, doubled
 
 
 def test_circuit_walks_the_pairing_once(monkeypatch):
     # One walk over the pairing's successors lays its cycles out; the
     # joined cycle is spliced from that layout, not walked again.
     g = end_difference_graph(9, 6)
-    assert g.edge_count >= graph._WALK_MIN
+    m, stride = g.edge_count, graph._ruler_stride(g.edge_count)
+    assert m >= graph._REST_WALK_MIN and stride == 32
     want = _circuit_order(g)
     counting = _CountingNumpy(None)
-    walked = []
     walk = graph._walk
 
-    def counted_walk(succ):
-        if succ.size == g.edge_count:
+    def counted_walk(succ, stride):
+        if succ.size == m:
             counting.source = succ
-            pairing.append(succ.copy())
-        trail = walk(succ)
-        walked.append((succ.size, len(trail[2])))
-        return trail
+        return walk(succ, stride)
 
-    pairing = []
     monkeypatch.setattr(graph, "np", counting)
     monkeypatch.setattr(graph, "_walk", counted_walk)
-    assert np.array_equal(_circuit_order(g), want)
-    # The ruler permutation is laid out by doubling at this size.
-    ((size, steps),) = walked
-    assert size == g.edge_count
-    # 11 of the pairing's 174 cycles hold no ruler.
-    labels = _doubling_labels(pairing[0])
+    pairing, order, walked, _ = _walks_and_doublings(g)
+    assert np.array_equal(order, want)
+    # The pairing is walked once, at its size's stride; then its ruler
+    # permutation (7,382 rulers), at the stride of that size.
+    (size, step, steps), link = walked
+    assert (size, step, link[:2]) == (m, stride, (7382, 4))
+    # 8 of the pairing's 174 cycles hold no ruler.
+    labels = _doubling_labels(pairing)
     cycles = np.unique(labels)
-    ruled = np.unique(labels[::graph._RULER_STRIDE])
-    assert (cycles.size, ruled.size) == (174, 163)
+    ruled = np.unique(labels[::stride])
+    assert (cycles.size, ruled.size) == (174, 166)
     # One gather per step, then one of the ruler-free cycles' successors.
     assert counting.gathers == steps + 1
+
+
+def test_table_cell_walked_from_rulers():
+    # Every cell of the benchmark's table grid has fewer than
+    # _REST_WALK_MIN edges; from _WALK_MIN on the pairing is walked, and
+    # doubling sees only the ruler permutations and the ruler-free rest.
+    g = end_difference_graph(8, 6)
+    m, stride = g.edge_count, graph._ruler_stride(g.edge_count)
+    assert graph._WALK_MIN <= m == 98_304 < graph._REST_WALK_MIN
+    _, _, walked, doubled = _walks_and_doublings(g)
+    assert walked[0][:2] == (m, stride) == (98_304, 16)
+    assert max(doubled) < m // stride
+
+
+def test_ruler_free_remainder_doubled_below_its_floor():
+    # Most of a Lempel pairing's short cycles hold no ruler at any stride;
+    # (lempel,7,7) leaves 99,940 of its 388,626 edges to doubling, which
+    # costs less there than a walk at the stride of that size.
+    g = lifted_low_pseudoweight_graph(7, 6)
+    _, _, walked, doubled = _walks_and_doublings(g)
+    assert [size for size, _, _ in walked] == [388_626, 6073]
+    assert graph._WALK_MIN <= doubled[-1] == 99_940 < graph._REST_WALK_MIN
 
 
 def _kruskal(a, b, nodes):
@@ -846,8 +898,9 @@ def _pairing(g):
 
 def _assert_splice_matches_walk(g, stride, wide, walk_min=2,
                                 chunk=graph._JOIN_CHUNK):
-    """_circuit_order from the pairing's layout, with graphs of walk_min
-    edges and up walked, rulers every stride elements and the forest's
+    """_circuit_order from the pairing's layout, with permutations of
+    walk_min elements and up walked (ruler-free remainders too), rulers
+    every stride elements (None: the stride of each size) and the forest's
     first chunk of chunk positions, equals a pure-Python walk of the
     successors that the union-find reference joins, from edge 0, or
     raises the reference's DisconnectedError.  Returns the splice cases
@@ -867,7 +920,11 @@ def _assert_splice_matches_walk(g, stride, wide, walk_min=2,
             j = int(joined[j])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_WALK_MIN", walk_min)
-        mp.setattr(graph, "_RULER_STRIDE", stride)
+        mp.setattr(graph, "_REST_WALK_MIN", walk_min)
+        if stride is None:
+            stride = graph._ruler_stride(g.edge_count)
+        else:
+            mp.setattr(graph, "_ruler_stride", lambda m: stride)
         mp.setattr(graph, "_JOIN_CHUNK", chunk)
         if wide:
             mp.setattr(graph, "_index_dtype", lambda m: np.int64)
@@ -895,14 +952,16 @@ def _assert_splice_matches_walk(g, stride, wide, walk_min=2,
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
        st.sets(st.integers(0, 2), min_size=1), st.integers(1, 8),
-       st.sampled_from([2, 4, 64]), st.sampled_from([2, graph._WALK_MIN]),
-       st.sampled_from(_CHUNKS))
+       st.sampled_from([2, 4, 64, None]),
+       st.sampled_from([2, 8, graph._WALK_MIN]), st.sampled_from(_CHUNKS))
 @pytest.mark.parametrize("wide", [False, True])
 def test_splice_matches_walk_of_joined_successors(wide, k, order, seed,
                                                   parts, walks, stride,
                                                   walk_min, chunk):
-    # At the real _WALK_MIN these graphs are laid out by doubling, the
-    # path every table cell takes; at 2 every graph is walked.
+    # These graphs have up to about 60 edges, half of them 9 or fewer.  At
+    # the real _WALK_MIN they are laid out by doubling, the path of the
+    # smallest table cells; at 8 the larger ones are walked and the
+    # smaller doubled; at 2 every graph is walked.
     g = _split_union(k, order, seed, parts, walks)
     assume(g.edge_count)
     _assert_splice_matches_walk(g, stride, wide, walk_min, chunk)

@@ -1,10 +1,15 @@
 import concurrent.futures
 import json
 from concurrent.futures import Future
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oseq import tables
+from oseq.constructions import ConstructionRecipe, Method, expected_period
 from oseq.errors import DomainError
 from oseq.tables import TABLE_NAMES, compute_table, reference_tables
 
@@ -57,6 +62,47 @@ def test_cell_cap_skips_large_cells():
     for cell in skipped:
         assert cell.status == "skipped (cap)"
         assert cell.value is None
+
+
+def _assert_lift_skipped_only_past_its_period(k, n):
+    """A lift cell is computed at a cap of exactly its period and skipped
+    one below, so its cheap lower bound never exceeds the period."""
+    period = expected_period(ConstructionRecipe(Method.LEMPEL_LIFT, k, n))
+    with mock.patch.object(tables, "generate",
+                           lambda recipe: SimpleNamespace(period=period)), \
+         mock.patch.object(tables, "period_upper_bound", lambda k, n: None):
+        for cap, status in ((period, "ok"), (period - 1, "skipped (cap)")):
+            cell = tables._period_cell("lempel-periods", period,
+                                       Method.LEMPEL_LIFT, n, k, cap)
+            assert cell.status == status
+
+
+def test_lift_bound_on_golden_cells():
+    data = reference_tables()
+    cells = {(int(n), int(k)) for n, row in data["lifted_periods"].items()
+             for k in row}
+    cells |= {(int(n), int(k)) for n, row in data["largest_known"].items()
+              for k, cell in row.items() if cell["method"] == "lempel"}
+    assert len(cells) == 36
+    for n, k in cells:
+        _assert_lift_skipped_only_past_its_period(k, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.integers(3, 14))
+def test_lift_bound_never_exceeds_the_period(k, n):
+    _assert_lift_skipped_only_past_its_period(k, n)
+
+
+def test_tall_lift_grid_skips_without_the_exact_count():
+    # The exact count is cubic in n; every cell of this grid is skipped by
+    # its lower bound alone.
+    def refuse(recipe):
+        raise AssertionError("expected_period ran")
+
+    with mock.patch.object(tables, "expected_period", refuse):
+        result = compute_table("lempel-periods", 3, 300, cell_cap=0)
+    assert len(result.skipped()) == len(result.cells) == 298
 
 
 def test_unknown_table_name():
