@@ -28,6 +28,7 @@ from .graph import (
     _check_cap,
     _check_code_width,
     _circuit_order,
+    _gather,
     _index_dtype,
     _read_only,
 )
@@ -292,7 +293,7 @@ def generate(recipe: ConstructionRecipe) -> OrientableSequence:
         raise InternalInvariantError(
             f"constructed edge set has no Eulerian circuit: {exc}") from exc
     # The leading symbol of each edge, in circuit order.
-    symbols = (g.edges // g.k**g.order).astype(np.min_scalar_type(g.k - 1))[order]
+    symbols = _gather((g.edges // g.k**g.order).astype(np.min_scalar_type(g.k - 1)), order)
     verdict = oracle.verify(symbols, recipe.n, recipe.k)
     if not verdict.accepted:
         raise InternalInvariantError(

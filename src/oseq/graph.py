@@ -312,6 +312,19 @@ def _index_dtype(m: int) -> type:
     return np.int32 if m < 2**31 else np.int64
 
 
+_GATHER_BLOCK = 1 << 13
+
+
+def _gather(table: np.ndarray, index: np.ndarray, out=None) -> np.ndarray:
+    """np.take(table, index) for a 1-d index in range, into out (index itself
+    will do), _GATHER_BLOCK at a time: the intp copy np.take makes of int32
+    indexes then stays in cache.  Fancy indexing makes none, but runs slower."""
+    out = np.empty(index.size, dtype=table.dtype) if out is None else out
+    for lo in range(0, index.size, _GATHER_BLOCK):
+        table.take(index[lo:][:_GATHER_BLOCK], out=out[lo:][:_GATHER_BLOCK], mode="wrap")
+    return out
+
+
 # From this many elements on, _cycle_layout walks from rulers in O(m);
 # below, doubling's log2(m) passes cost less.  A ruler-free remainder walks
 # only from _REST_WALK_MIN on: most of its short cycles hold no ruler.
@@ -386,7 +399,7 @@ def _cycle_layout(succ: np.ndarray, floor: int = 0) -> tuple[np.ndarray, np.ndar
     gap[np.take(ruler_pos, who[met])] = place[met]
     start = np.cumsum(gap, dtype=index) - gap
     heads, start = start[heads], np.take(start, ruler_pos)
-    place += np.take(start, who, out=who, mode="clip")
+    place += _gather(start, who, out=who)
     pos = np.full(m, -1, dtype=index)
     pos[seen] = place
     pos[::stride] = start
@@ -519,7 +532,7 @@ def _join_cycles(g: DBSubgraph):
     targets, sources = edges % k**g.order, edges // k
     in_order = np.argsort(targets, kind="stable").astype(index, copy=False)
     # sources is sorted, so this compares the in- and out-degree sequences.
-    if not np.array_equal(targets[in_order], sources):
+    if not np.array_equal(_gather(targets, in_order), sources):
         _, bad = is_balanced(g)
         raise DomainError(f"subgraph is not balanced: {len(bad)} vertices "
                           f"differ, first {bad[0]}")
@@ -537,7 +550,7 @@ def _join_cycles(g: DBSubgraph):
     while count > 1 and hi < m - 1:
         lo, hi = hi, min(2 * hi + _JOIN_CHUNK, m - 1)
         # The in-edges at positions p and p + 1 lead to edges p and p + 1.
-        label = np.take(comp, np.take(cycle, pos[lo:hi + 1]))
+        label = _gather(comp, _gather(cycle, pos[lo:hi + 1]))
         at = np.flatnonzero(shared[lo:hi] & (label[1:] != label[:-1]))
         joins, comp_of = _spanning_forest(label[at], label[at + 1], count)
         picked.append(at[joins] + lo)
@@ -563,28 +576,25 @@ def _circuit_order(g: DBSubgraph) -> np.ndarray:
     m, index = succ.size, succ.dtype
     order = np.empty_like(succ)
     order[pos] = np.arange(m, dtype=index)
-    cuts = np.zeros(m + 1, dtype=bool)
-    cuts[heads] = True
+    cuts = np.append(heads, m).astype(index)
     slot = np.take(pos, np.stack([at, at + 1]))
-    end = np.append(heads, m)[np.searchsorted(heads, slot, side="right")]
-    before = np.where(cuts[slot], end, slot) - 1
+    up = np.searchsorted(heads, slot, side="right")  # heads[0] is 0
+    before = np.where(heads[up - 1] == slot, cuts[up], slot) - 1
     x, y = np.take(order, before)
     run_start = np.diff(at, prepend=-2) != 1
     run_end = np.roll(run_start, -1)
     succ[x] = at + 1
     succ[y[run_end]] = at[run_start]
-    cuts[np.concatenate([before[0], before[1][run_end]]) + 1] = True
-    first = np.flatnonzero(cuts[:m]).astype(index)
-    last = np.append(first[1:], m) - 1
+    cuts = _sorted_unique(np.concatenate([cuts, before[0] + 1, before[1][run_end] + 1]))
     # Each piece ends at an edge whose successor starts a piece.
-    after = np.cumsum(cuts[:m], dtype=index)[pos[succ[order[last]]]] - 1
-    del succ, pos, cuts
+    after = np.searchsorted(cuts, pos[succ[order[cuts[1:] - 1]]], side="right") - 1
+    del succ, pos
     piece = np.empty_like(after)
     piece[_doubling_ranks(after, 0, after.size)] = np.arange(after.size, dtype=index)
-    length = np.take(last - first + 1, piece)
-    slots = np.repeat(first[piece] - np.cumsum(length, dtype=index) + length, length)
+    length = np.take(np.diff(cuts), piece)
+    slots = np.repeat(cuts[piece] - np.cumsum(length, dtype=index) + length, length)
     slots += np.arange(m, dtype=index)
-    return np.take(order, slots)
+    return _gather(order, slots, out=slots)
 
 
 def is_connected(g: DBSubgraph) -> tuple[bool, int]:

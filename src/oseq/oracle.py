@@ -18,6 +18,7 @@ from .bounds import period_upper_bound
 from .errors import DomainError, ResourceCapError
 from .graph import (
     _fits_int64,
+    _gather,
     _index_dtype,
     _reverse_codes,
     _window_blocks,
@@ -102,7 +103,7 @@ def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
     low = (1 << min(m.bit_length(), 30)) - 1
     bucket = np.zeros(low + 1, dtype=bool)
     bucket[repeated & low] = True
-    keep = np.flatnonzero(bucket[np.bitwise_and(canon, low, out=ids)])
+    keep = np.flatnonzero(_gather(bucket, np.bitwise_and(canon, low, out=ids)))
     del ids, repeated, bucket
     return _first_offender(s, n, canon, keep, palindromes)
 

@@ -203,6 +203,20 @@ def test_block_end_rule_peak_is_sized_to_its_output():
     assert peak < 3 * g.edges.nbytes
 
 
+def test_generate_peak_memory():
+    # The edge set beside the circuit's peak of about 5.5 int32 arrays of
+    # m: 6.5.  The spelling and verify, which follow the circuit, stay
+    # below; np.take's whole intp copy as the layout placed its trail read
+    # 7.35.
+    tracemalloc.start()
+    try:
+        seq = generate(ConstructionRecipe(Method.END_DIFFERENCE, 8, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (4 * seq.period) <= 7
+
+
 @pytest.mark.parametrize("k,n", [(5, 2), (5, 3), (6, 3), (7, 2), (9, 3)])
 def test_end_difference_generate(k, n):
     seq = generate(ConstructionRecipe(Method.END_DIFFERENCE, k, n))

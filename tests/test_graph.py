@@ -289,6 +289,32 @@ def test_split_cell_walked_from_rulers_names_its_components():
     assert is_connected(g) == (False, 5369)
 
 
+_GATHER_LENGTHS = [0, 1] + [blocks * graph._GATHER_BLOCK + side
+                            for blocks in (1, 2, 3) for side in (-1, 0, 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_GATHER_LENGTHS), st.sampled_from([np.bool_, np.uint8, np.int32]),
+       st.sampled_from([np.int32, np.int64]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_gather_matches_take(length, table_dtype, index_dtype, in_place, seed):
+    # A block at a time, at lengths on either side of the first three block
+    # edges, with negative indexes too; in place over the index, as the
+    # layout places its trail, from a table of the index's dtype.
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 3 * length + 2))
+    table = rng.integers(0, 2 if table_dtype is np.bool_ else 100, size).astype(table_dtype)
+    index = rng.integers(-size, size, length).astype(index_dtype)
+    if in_place:
+        table = table.astype(index_dtype)
+    want, kept = np.take(table, index), index.copy()
+    got = graph._gather(table, index, out=index if in_place else None)
+    assert got.dtype == table.dtype and np.array_equal(got, want)
+    if in_place:
+        assert got is index
+    else:
+        assert np.array_equal(index, kept)
+
+
 _CACHED = {"sources", "targets", "vertex_codes", "_degrees"}
 
 
@@ -305,14 +331,15 @@ def _circuit_peak(g):
 
 
 @pytest.mark.parametrize("build,bound", [
-    # The layout placing the walk's trail reads about 6.4 int32 arrays
-    # of m; caching sources and targets on the graph, or keeping in_order
-    # and the trail alive, would pass 7.
-    (lambda: end_difference_graph(8, 7), 7),
-    # The splice reads about 6.1 once the pairing's successors and layout
-    # are freed; numbering the cycles of all m positions at once, with
-    # the forest's candidates over them, would read 8.5.
-    (lambda: lifted_low_pseudoweight_graph(7, 6), 8),
+    # The layout finding its walks' ends beside the trail and the pairing's
+    # successors reads about 5.5 int32 arrays of m.  Placing the trail by
+    # one np.take, whose intp copy of the rulers' numbers is two arrays of
+    # m, read 6.35; caching sources and targets on the graph would pass 6.
+    (lambda: end_difference_graph(8, 7), 6),
+    # The layout scattering its trail reads about 5.2.  A cut flag per slot
+    # and a running count of them to number the pieces read 6.1, and the
+    # cycle numbers of each chunk of positions by np.take 5.9.
+    (lambda: lifted_low_pseudoweight_graph(7, 6), 6),
 ], ids=["a-8-7", "lempel-7-7"])
 def test_circuit_peak_memory(build, bound):
     g = build()
