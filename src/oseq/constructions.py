@@ -103,15 +103,11 @@ def _end_rule_graph(k: int, n: int, t: int, differences: range) -> DBSubgraph:
     for _ in range(t):
         sums = (sums[:, None] + np.arange(k)).ravel() % k
     by_sum = np.argsort(sums, kind="stable").astype(dtype).reshape(k, -1)
+    lasts = np.sort(by_sum[(np.arange(k)[:, None] + differences) % k].reshape(k, -1))
+    firsts = np.arange(0, k**n, k ** (n - t), dtype=dtype)
     middles = np.arange(0, k ** (n - t), k**t, dtype=dtype)
-    block = middles.size * differences.size * by_sum.shape[1]
-    edges = np.empty(k**t * block, dtype=dtype)
-    for s in range(k):
-        last = np.sort(by_sum[(s + differences) % k], axis=None)
-        for f in by_sum[s].tolist():
-            np.add(middles[:, None], last + f * k ** (n - t),
-                   out=edges[f * block:(f + 1) * block].reshape(middles.size, -1))
-    return DBSubgraph(k, n - 1, _read_only(edges))
+    edges = firsts[:, None, None] + middles[:, None] + lasts[sums][:, None]
+    return DBSubgraph(k, n - 1, _read_only(edges.ravel()))
 
 
 def end_difference_graph(k: int, n: int) -> DBSubgraph:
@@ -220,7 +216,7 @@ def lempel_lift(g: DBSubgraph) -> DBSubgraph:
         prefix %= k
         for a, row in enumerate(lifted):
             row *= k
-            row += np.take(residue[a:], prefix, out=symbol, mode="clip")
+            row += residue[a:].take(prefix, out=symbol, mode="clip")
     del prefix, symbol  # freed before the graph checks the edges' order
     lifted.sort(axis=1)
     return DBSubgraph(k, length, _read_only(lifted.ravel()))

@@ -325,9 +325,11 @@ def _gather(table: np.ndarray, index: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-# From this many elements on, _cycle_layout walks from rulers in O(m);
-# below, doubling's log2(m) passes cost less.  A ruler-free remainder walks
+# Up to _SEQUENTIAL_MAX elements, _cycle_layout steps through the cycles in
+# plain Python; from _WALK_MIN on, it walks from rulers in O(m); between,
+# doubling's log2(m) numpy passes cost less.  A ruler-free remainder walks
 # only from _REST_WALK_MIN on: most of its short cycles hold no ruler.
+_SEQUENTIAL_MAX = 1 << 9
 _WALK_MIN = 1 << 11
 _REST_WALK_MIN = 1 << 17
 
@@ -350,19 +352,19 @@ def _walk(succ: np.ndarray, stride: int):
     at; step s + 1 wrote sizes[s] entries.  The two m-element blocks are
     preallocated (per-step lists took 6% more peak RSS).
     """
-    index = succ.dtype
+    index, step = succ.dtype, succ.take
     here = np.arange(0, succ.size, stride, dtype=index)
     walker = np.arange(here.size, dtype=index)
     seen, who = np.empty_like(succ), np.empty_like(succ)
     sizes, filled = [], 0
     for _ in range(32 * stride):
-        here = np.take(succ, here)
+        here = step(here)
         seen[filled:filled + here.size] = here
         who[filled:filled + here.size] = walker
         sizes.append(here.size)
         filled += here.size
-        going = (here & (stride - 1)) != 0
-        walker, here = walker[going], here[going]
+        going = (here & (stride - 1)).nonzero()[0]
+        walker, here = walker.take(going), here.take(going)
         if here.size == 0:
             return seen[:filled], who[:filled], sizes
     return None
@@ -381,24 +383,26 @@ def _cycle_layout(succ: np.ndarray, floor: int = 0) -> tuple[np.ndarray, np.ndar
     laid out by pointer doubling, ordered by smallest element.
     """
     m, index = succ.size, succ.dtype
+    if m <= _SEQUENTIAL_MAX:
+        return _sequential_layout(succ)
     stride = _ruler_stride(m)
     walk = _walk(succ, stride) if m >= max(floor, _WALK_MIN) else None
     if walk is None:
         labels = _doubling_labels(succ)
         size = np.bincount(labels).astype(index)
-        start = np.cumsum(size, dtype=index) - size
+        start = size.cumsum(dtype=index) - size
         ranks = _doubling_ranks(succ, labels, int(size.max()))
-        return np.take(start, labels) + ranks, start[size > 0]
+        return start.take(labels) + ranks, start[size > 0]
     seen, who, sizes = walk
-    place = np.repeat(np.arange(1, len(sizes) + 1, dtype=index), sizes)
-    met = np.flatnonzero((seen & (stride - 1)) == 0)  # the walks' ends
+    place = np.arange(1, len(sizes) + 1, dtype=index).repeat(sizes)
+    met = ((seen & (stride - 1)) == 0).nonzero()[0]  # the walks' ends
     link = np.empty_like(succ[::stride])
     link[who[met]] = seen[met] // stride
     ruler_pos, heads = _cycle_layout(link)
     gap = np.empty_like(link)
-    gap[np.take(ruler_pos, who[met])] = place[met]
-    start = np.cumsum(gap, dtype=index) - gap
-    heads, start = start[heads], np.take(start, ruler_pos)
+    gap[ruler_pos.take(who[met])] = place[met]
+    start = gap.cumsum(dtype=index) - gap
+    heads, start = start[heads], start.take(ruler_pos)
     place += _gather(start, who, out=who)
     pos = np.full(m, -1, dtype=index)
     pos[seen] = place
@@ -406,15 +410,28 @@ def _cycle_layout(succ: np.ndarray, floor: int = 0) -> tuple[np.ndarray, np.ndar
     placed = seen.size - met.size + link.size
     del walk, seen, who, place
     if placed < m:
-        rest = np.flatnonzero(pos < 0).astype(index, copy=False)
+        rest = (pos < 0).nonzero()[0].astype(index, copy=False)
         # The cycles off the trail are closed under succ; until they are
         # placed, pos maps each of their elements to its place in rest.
         pos[rest] = np.arange(rest.size, dtype=index)
-        rest_pos, rest_heads = _cycle_layout(np.take(pos, np.take(succ, rest)),
+        rest_pos, rest_heads = _cycle_layout(pos.take(succ.take(rest)),
                                              _REST_WALK_MIN)
         pos[rest] = rest_pos + placed
         heads = np.concatenate([heads, rest_heads + placed])
     return pos, heads
+
+
+def _sequential_layout(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_cycle_layout in one plain-Python pass: the cycles in order of
+    their smallest element, each in successor order from there."""
+    nxt, pos, heads, slot = succ.tolist(), [-1] * succ.size, [], 0
+    for e in range(succ.size):
+        if pos[e] < 0:
+            heads.append(slot)
+            while pos[e] < 0:
+                pos[e] = slot
+                slot, e = slot + 1, nxt[e]
+    return np.array(pos, dtype=succ.dtype), np.array(heads, dtype=succ.dtype)
 
 
 def _doubling_labels(succ: np.ndarray) -> np.ndarray:
@@ -426,10 +443,10 @@ def _doubling_labels(succ: np.ndarray) -> np.ndarray:
     """
     labels, jump = np.arange(succ.size, dtype=succ.dtype), succ
     while True:
-        widened = np.minimum(labels, np.take(labels, jump))
-        if np.array_equal(widened, labels):
+        widened = np.minimum(labels, labels.take(jump))
+        if (widened == labels).all():
             return labels
-        labels, jump = widened, np.take(jump, jump)
+        labels, jump = widened, jump.take(jump)
 
 
 def _doubling_ranks(succ: np.ndarray, first: np.ndarray | int,
@@ -442,9 +459,9 @@ def _doubling_ranks(succ: np.ndarray, first: np.ndarray | int,
     jump = np.where(end, np.arange(succ.size, dtype=succ.dtype), succ)
     hops = (~end).astype(succ.dtype)
     for _ in range((longest - 1).bit_length()):
-        hops += np.take(hops, jump)
-        jump = np.take(jump, jump)
-    return np.take(hops, first) - hops
+        hops += hops.take(jump)
+        jump = jump.take(jump)
+    return hops.take(first) - hops
 
 
 def _spanning_forest(ca: np.ndarray, cb: np.ndarray,
@@ -477,25 +494,25 @@ def _spanning_forest(ca: np.ndarray, cb: np.ndarray,
         lightest = np.full(count, edge.size, dtype=index)
         for side in (ca, cb):
             np.minimum.at(lightest, side, np.arange(edge.size, dtype=index))
-        roots = np.flatnonzero(lightest < edge.size).astype(index, copy=False)
+        roots = (lightest < edge.size).nonzero()[0].astype(index, copy=False)
         best = lightest[roots]
         other = np.where(ca[best] == roots, cb[best], ca[best])
         # Two components that share their lightest edge would hook onto
         # each other; the smaller one stays a root instead.
-        hooks = (np.take(lightest, other) != best) | (other < roots)
+        hooks = (lightest.take(other) != best) | (other < roots)
         parent = np.arange(count, dtype=index)
         parent[roots[hooks]] = other[hooks]
         while True:
-            grand = np.take(parent, parent)
-            if np.array_equal(grand, parent):
+            grand = parent.take(parent)
+            if (grand == parent).all():
                 break
             parent = grand
-        renumber = np.cumsum(parent == np.arange(count), dtype=index) - 1
-        renumber, count = np.take(renumber, parent), int(renumber[-1]) + 1
-        comp = np.take(renumber, comp)
+        renumber = (parent == np.arange(count)).cumsum(dtype=index) - 1
+        renumber, count = renumber.take(parent), int(renumber[-1]) + 1
+        comp = renumber.take(comp)
         picked.append(edge[_sorted_unique(best)])
-        ca, cb = np.take(renumber, ca), np.take(renumber, cb)
-        keep = np.flatnonzero(ca != cb)
+        ca, cb = renumber.take(ca), renumber.take(cb)
+        keep = (ca != cb).nonzero()[0]
         # One at a time, so that each old array is freed before the next.
         edge = edge[keep]
         ca = ca[keep]
@@ -530,9 +547,9 @@ def _join_cycles(g: DBSubgraph):
     m, k, edges = g.edge_count, g.k, g.edges
     index = _index_dtype(m)
     targets, sources = edges % k**g.order, edges // k
-    in_order = np.argsort(targets, kind="stable").astype(index, copy=False)
+    in_order = targets.argsort(kind="stable").astype(index, copy=False)
     # sources is sorted, so this compares the in- and out-degree sequences.
-    if not np.array_equal(_gather(targets, in_order), sources):
+    if not (_gather(targets, in_order) == sources).all():
         _, bad = is_balanced(g)
         raise DomainError(f"subgraph is not balanced: {len(bad)} vertices "
                           f"differ, first {bad[0]}")
@@ -551,10 +568,10 @@ def _join_cycles(g: DBSubgraph):
         lo, hi = hi, min(2 * hi + _JOIN_CHUNK, m - 1)
         # The in-edges at positions p and p + 1 lead to edges p and p + 1.
         label = _gather(comp, _gather(cycle, pos[lo:hi + 1]))
-        at = np.flatnonzero(shared[lo:hi] & (label[1:] != label[:-1]))
+        at = (shared[lo:hi] & (label[1:] != label[:-1])).nonzero()[0]
         joins, comp_of = _spanning_forest(label[at], label[at + 1], count)
         picked.append(at[joins] + lo)
-        comp, count = np.take(comp_of, comp), count - joins.size
+        comp, count = comp_of.take(comp), count - joins.size
     if count > 1:
         sizes = np.bincount(comp, weights=np.diff(heads, append=m))
         raise DisconnectedError(sorted(sizes.astype(int).tolist(), reverse=True))
@@ -576,23 +593,25 @@ def _circuit_order(g: DBSubgraph) -> np.ndarray:
     m, index = succ.size, succ.dtype
     order = np.empty_like(succ)
     order[pos] = np.arange(m, dtype=index)
-    cuts = np.append(heads, m).astype(index)
-    slot = np.take(pos, np.stack([at, at + 1]))
-    up = np.searchsorted(heads, slot, side="right")  # heads[0] is 0
+    cuts = np.concatenate((heads, [m]), dtype=index)
+    slot = pos.take(np.array([at, at + 1]))
+    up = heads.searchsorted(slot, side="right")  # heads[0] is 0
     before = np.where(heads[up - 1] == slot, cuts[up], slot) - 1
-    x, y = np.take(order, before)
-    run_start = np.diff(at, prepend=-2) != 1
-    run_end = np.roll(run_start, -1)
+    x, y = order.take(before)
+    breaks = np.ones(at.size + 1, dtype=bool)  # runs of consecutive joins
+    breaks[1:-1] = at[1:] != at[:-1] + 1
+    run_start, run_end = breaks[:-1], breaks[1:]
     succ[x] = at + 1
     succ[y[run_end]] = at[run_start]
     cuts = _sorted_unique(np.concatenate([cuts, before[0] + 1, before[1][run_end] + 1]))
     # Each piece ends at an edge whose successor starts a piece.
-    after = np.searchsorted(cuts, pos[succ[order[cuts[1:] - 1]]], side="right") - 1
+    after = cuts.searchsorted(pos[succ[order[cuts[1:] - 1]]], side="right") - 1
     del succ, pos
     piece = np.empty_like(after)
-    piece[_doubling_ranks(after, 0, after.size)] = np.arange(after.size, dtype=index)
-    length = np.take(np.diff(cuts), piece)
-    slots = np.repeat(cuts[piece] - np.cumsum(length, dtype=index) + length, length)
+    piece[_sequential_layout(after)[0] if after.size <= _SEQUENTIAL_MAX
+          else _doubling_ranks(after, 0, after.size)] = np.arange(after.size, dtype=index)
+    length = (cuts[1:] - cuts[:-1]).take(piece)
+    slots = (cuts.take(piece) - length.cumsum(dtype=index) + length).repeat(length)
     slots += np.arange(m, dtype=index)
     return _gather(order, slots, out=slots)
 

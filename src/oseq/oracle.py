@@ -83,7 +83,7 @@ def verify(symbols: Sequence[int] | np.ndarray, n: int, k: int) -> VerifyResult:
         canon, palindromes = np.empty(m, dtype=_index_dtype(k**n)), []
         for start, f, r in _window_blocks(s, n, k):
             np.minimum(f, r, out=canon[start:start + f.size])
-            palindromes.append(np.flatnonzero(f == r) + start)
+            palindromes.append((f == r).nonzero()[0] + start)
         del f, r  # views that would keep the block buffers alive
         palindromes = np.concatenate(palindromes)
     else:

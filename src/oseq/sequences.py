@@ -73,9 +73,9 @@ def parse_symbols(raw: str, k: int) -> np.ndarray:
     Returns a read-only array: uint8 for k <= 10, int64 otherwise.
     """
     if k <= 10:
-        if not (raw.isascii() and raw.isdigit()):
+        symbols = np.frombuffer(raw.encode() if raw.isascii() else b"", np.uint8) - ord("0")
+        if not symbols.size or symbols.max() > 9:  # uint8 wraps non-digits past 9
             raise DomainError("symbols must be contiguous digits for k <= 10")
-        symbols = np.frombuffer(raw.encode("ascii"), np.uint8) - ord("0")
     else:
         parts = raw.split(",")
         if not all(p.isascii() and p.isdigit() for p in parts):

@@ -11,12 +11,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from oseq import graph, oracle
 from oseq.constructions import (
+    ConstructionRecipe,
+    Method,
     end_difference_graph,
+    expected_period,
+    generate,
     lempel_lift,
     lempel_preimages,
     lifted_low_pseudoweight_graph,
 )
-from oseq.errors import DisconnectedError, DomainError, ResourceCapError
+from oseq.errors import ConstructionError, DisconnectedError, DomainError, ResourceCapError
 from oseq.graph import (
     DBSubgraph,
     EulerianCircuit,
@@ -656,22 +660,26 @@ def _cycle_of(succ, e):
     return cycle
 
 
-class _CountingNumpy:
-    """numpy for the graph module, counting the gathers from one array."""
+class _CountingArray(np.ndarray):
+    """An array that counts the gathers made from it, by its take method
+    or np.take; arrays derived from it count none."""
 
-    def __init__(self, source):
-        self.source = source
-        self.gathers = 0
+    gathers = None
 
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def take(self, a, *args, **kwargs):
-        self.gathers += a is self.source
-        return np.take(a, *args, **kwargs)
+    def take(self, *args, **kwargs):
+        if self.gathers is not None:
+            self.gathers += 1
+        return super().take(*args, **kwargs)
 
 
-def test_ruler_walk_stops_at_its_bound(monkeypatch):
+def _counting(a):
+    """A view of a that counts its gathers, from 0."""
+    view = a.view(_CountingArray)
+    view.gathers = 0
+    return view
+
+
+def test_ruler_walk_stops_at_its_bound():
     # One cycle that visits every non-ruler before any ruler: the last
     # ruler's walk would need m - m/stride steps, at each size's stride
     # (4, 16 and 64).  It must give up after 32 strides, one gather of
@@ -680,17 +688,71 @@ def test_ruler_walk_stops_at_its_bound(monkeypatch):
         stride = graph._ruler_stride(m)
         cycle = [i for i in range(m) if i % stride] + list(range(0, m, stride))
         assert m >= graph._WALK_MIN and m - m // stride > 32 * stride
-        succ = np.empty(m, dtype=np.int64)
+        succ = _counting(np.empty(m, dtype=np.int64))
         succ[cycle] = np.roll(cycle, -1)
-        counting = _CountingNumpy(succ)
-        monkeypatch.setattr(graph, "np", counting)
         pos, heads = _cycle_layout(succ)
         # The walk's gathers, then doubling's first pointer jump; the ranks
         # start from np.where, not from a gather of succ.
-        assert counting.gathers == 32 * stride + 1
+        assert succ.gathers == 32 * stride + 1
         walk = cycle[cycle.index(0):] + cycle[:cycle.index(0)]
         assert pos[walk].tolist() == list(range(m))
         assert heads.tolist() == [0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([graph._SEQUENTIAL_MAX - 1, graph._SEQUENTIAL_MAX,
+                        graph._SEQUENTIAL_MAX + 1]),
+       st.sampled_from([np.int32, np.int64]), st.randoms(use_true_random=False))
+def test_sequential_layout_matches_doubling(m, index, rnd):
+    # Random cycles, from one to m of them: up to _SEQUENTIAL_MAX elements
+    # the layout steps through them in Python, and it must give the slots
+    # and heads that pointer doubling gives, in the same dtype.
+    order = rnd.sample(range(m), m)
+    cuts = sorted(rnd.sample(range(1, m), rnd.randint(0, m - 1)))
+    succ = np.empty(m, dtype=index)
+    for lo, hi in zip([0] + cuts, cuts + [m]):
+        succ[order[lo:hi]] = np.roll(order[lo:hi], -1)
+    pos, heads = _cycle_layout(succ)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_SEQUENTIAL_MAX", 0)
+        doubled_pos, doubled_heads = _cycle_layout(succ)
+    assert pos.dtype == heads.dtype == doubled_pos.dtype == doubled_heads.dtype == index
+    assert np.array_equal(pos, doubled_pos) and np.array_equal(heads, doubled_heads)
+    # On one cycle, as the splice's pieces form, the slots are the ranks
+    # from element 0 that _doubling_ranks gives.
+    whole = np.empty(m, dtype=index)
+    whole[order] = np.roll(order, -1)
+    ranks = graph._sequential_layout(whole)[0]
+    assert ranks.dtype == index
+    assert np.array_equal(ranks, graph._doubling_ranks(whole, 0, m))
+
+
+def test_small_cells_lay_out_in_one_pass(monkeypatch):
+    # Every cell of at most _SEQUENTIAL_MAX edges gets its layout and its
+    # piece ranks from the sequential pass, with no walk and no doubling.
+    def unreached(*args):
+        raise AssertionError("a small cell reached a walk or pointer doubling")
+
+    for name in ("_walk", "_doubling_labels", "_doubling_ranks"):
+        monkeypatch.setattr(graph, name, unreached)
+    cells = 0
+    for method in Method:
+        for k in range(3, 40):
+            for n in range(2, 12):
+                widths = range(1, n // 2 + 1) if method is Method.BLOCK_END_DIFFERENCE else [None]
+                for t in widths:
+                    try:
+                        recipe = ConstructionRecipe(method, k, n, t)
+                    except DomainError:
+                        continue
+                    if expected_period(recipe) > graph._SEQUENTIAL_MAX:
+                        continue
+                    cells += 1
+                    try:
+                        generate(recipe)
+                    except ConstructionError:
+                        pass  # split: the joins still ran on the layout
+    assert cells == 115
 
 
 def test_ruler_stride_scales_with_the_permutation():
@@ -731,16 +793,15 @@ def test_circuit_walks_the_pairing_once(monkeypatch):
     m, stride = g.edge_count, graph._ruler_stride(g.edge_count)
     assert m >= graph._REST_WALK_MIN and stride == 32
     want = _circuit_order(g)
-    counting = _CountingNumpy(None)
-    walk = graph._walk
+    layout, counted = graph._cycle_layout, []
 
-    def counted_walk(succ, stride):
+    def counted_layout(succ, floor=0):
         if succ.size == m:
-            counting.source = succ
-        return walk(succ, stride)
+            succ = _counting(succ)
+            counted.append(succ)
+        return layout(succ, floor)
 
-    monkeypatch.setattr(graph, "np", counting)
-    monkeypatch.setattr(graph, "_walk", counted_walk)
+    monkeypatch.setattr(graph, "_cycle_layout", counted_layout)
     pairing, order, walked, _ = _walks_and_doublings(g)
     assert np.array_equal(order, want)
     # The pairing is walked once, at its size's stride; then its ruler
@@ -753,7 +814,7 @@ def test_circuit_walks_the_pairing_once(monkeypatch):
     ruled = np.unique(labels[::stride])
     assert (cycles.size, ruled.size) == (174, 166)
     # One gather per step, then one of the ruler-free cycles' successors.
-    assert counting.gathers == steps + 1
+    assert [succ.gathers for succ in counted] == [steps + 1]
 
 
 def test_table_cell_walked_from_rulers():

@@ -122,6 +122,32 @@ def test_parse_symbols_follows_alphabet_format():
                    ("3,,4", 12)]:
         with pytest.raises(DomainError):
             parse_symbols(raw, k)
+    # Up to k = 10, a byte next to the digits in ASCII, a control byte, a
+    # non-ASCII digit or no symbol at all is not a digit; a digit past the
+    # alphabet is out of range, and only once every byte is a digit.
+    for raw in ["/", ":", "\x00", " ", "\x7f", "٣", "", "01/", "9:", "0\x00"]:
+        with pytest.raises(DomainError, match="contiguous digits for k <= 10"):
+            parse_symbols(raw, 10)
+    for raw in ["5", "0125", "9"]:
+        with pytest.raises(DomainError, match="out of range for alphabet size 5"):
+            parse_symbols(raw, 5)
+    with pytest.raises(DomainError, match="contiguous digits"):
+        parse_symbols("9/", 5)
+
+
+@given(st.text(st.sampled_from("0123456789") | st.characters(max_codepoint=0x700),
+               max_size=8), st.integers(2, 10))
+def test_narrow_parse_accepts_what_the_str_rule_accepts(raw, k):
+    # The byte check agrees with the rule it replaced: ASCII decimal digits
+    # only, at least one of them, each below k.
+    if not (raw.isascii() and raw.isdigit()):
+        with pytest.raises(DomainError, match="contiguous digits"):
+            parse_symbols(raw, k)
+    elif max(map(int, raw)) >= k:
+        with pytest.raises(DomainError, match="out of range"):
+            parse_symbols(raw, k)
+    else:
+        assert parse_symbols(raw, k).tolist() == [int(c) for c in raw]
 
 
 
