@@ -106,7 +106,7 @@ def _end_rule_graph(k: int, n: int, t: int, differences: range) -> DBSubgraph:
     lasts = np.sort(by_sum[(np.arange(k)[:, None] + differences) % k].reshape(k, -1))
     firsts = np.arange(0, k**n, k ** (n - t), dtype=dtype)
     middles = np.arange(0, k ** (n - t), k**t, dtype=dtype)
-    edges = firsts[:, None, None] + middles[:, None] + lasts[sums][:, None]
+    edges = (firsts[:, None] + lasts[sums])[:, None] + middles[:, None]
     return DBSubgraph(k, n - 1, _read_only(edges.ravel()))
 
 

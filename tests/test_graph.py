@@ -736,22 +736,20 @@ def test_small_cells_lay_out_in_one_pass(monkeypatch):
     for name in ("_walk", "_doubling_labels", "_doubling_ranks"):
         monkeypatch.setattr(graph, name, unreached)
     cells = 0
-    for method in Method:
-        for k in range(3, 40):
-            for n in range(2, 12):
-                widths = range(1, n // 2 + 1) if method is Method.BLOCK_END_DIFFERENCE else [None]
-                for t in widths:
-                    try:
-                        recipe = ConstructionRecipe(method, k, n, t)
-                    except DomainError:
-                        continue
-                    if expected_period(recipe) > graph._SEQUENTIAL_MAX:
-                        continue
-                    cells += 1
-                    try:
-                        generate(recipe)
-                    except ConstructionError:
-                        pass  # split: the joins still ran on the layout
+    for method, k, n in itertools.product(Method, range(3, 40), range(2, 12)):
+        widths = range(1, n // 2 + 1) if method is Method.BLOCK_END_DIFFERENCE else [None]
+        for t in widths:
+            try:
+                recipe = ConstructionRecipe(method, k, n, t)
+            except DomainError:
+                continue
+            if expected_period(recipe) > graph._SEQUENTIAL_MAX:
+                continue
+            cells += 1
+            try:
+                generate(recipe)
+            except ConstructionError:
+                pass  # split: the joins still ran on the layout
     assert cells == 115
 
 
