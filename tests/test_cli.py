@@ -268,7 +268,9 @@ CLI_CASES = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
+# Every case draws small, huge or junk values, and each call must answer
+# within a generous 5 s on a slow shared host.
+@settings(max_examples=150, deadline=5000)
 @given(case=CLI_CASES, text=sequence_files(), with_file=st.sampled_from([True] * 5 + [False]))
 def test_cli_fuzz_exits_with_documented_codes(tmp_path_factory, case, text, with_file):
     command, argv = case[0], [a for part in case[1:] for a in part]

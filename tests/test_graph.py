@@ -319,6 +319,27 @@ def test_gather_matches_take(length, table_dtype, index_dtype, in_place, seed):
         assert np.array_equal(index, kept)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_GATHER_LENGTHS), st.sampled_from([np.int32, np.int64]),
+       st.sampled_from([np.int32, np.int64]), st.integers(0, 2**32 - 1))
+def test_scatter_matches_fancy_assignment(length, table_dtype, index_dtype, seed):
+    # A block at a time, at lengths on either side of the first three block
+    # edges, through a repeat-free index with negative entries too, into a
+    # table of either index dtype, as the layout and its inverse are written.
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(length, 3 * length + 2))
+    index = rng.permutation(size)[:length]
+    index[rng.random(length) < 0.5] -= size
+    index = index.astype(index_dtype)
+    values = rng.integers(-100, 100, length).astype(table_dtype)
+    table = rng.integers(-100, 100, size).astype(table_dtype)
+    want, kept = table.copy(), (index.copy(), values.copy())
+    want[index] = values
+    assert graph._scatter(table, index, values) is None
+    assert table.dtype == table_dtype and np.array_equal(table, want)
+    assert np.array_equal(index, kept[0]) and np.array_equal(values, kept[1])
+
+
 _CACHED = {"sources", "targets", "vertex_codes", "_degrees"}
 
 
@@ -344,7 +365,11 @@ def _circuit_peak(g):
     # and a running count of them to number the pieces read 6.1, and the
     # cycle numbers of each chunk of positions by np.take 5.9.
     (lambda: lifted_low_pseudoweight_graph(7, 6), 6),
-], ids=["a-8-7", "lempel-7-7"])
+    # The layout recursing over the ruler-free cycles, ending in doubling
+    # labels and ranks, reads about 6.7; a successor array kept beside the
+    # pairing's predecessors reads 7.7.
+    (lambda: lifted_low_pseudoweight_graph(8, 6), 7),
+], ids=["a-8-7", "lempel-7-7", "lempel-8-7"])
 def test_circuit_peak_memory(build, bound):
     g = build()
     assert _circuit_peak(g) <= bound
@@ -935,10 +960,11 @@ def test_joins_match_union_find_reference(k, order, seed, parts, walks, chunk):
             return
         pairing, pos, heads, at = _joins_without_loops(g)
     assert pairing.dtype == pos.dtype == heads.dtype == index
-    assert np.array_equal(pairing, succ)
+    # The pairing comes as its predecessors: the stable in-edge sort.
+    assert np.array_equal(pairing, in_order)
     assert at.tolist() == want
-    # pos and heads are the pairing's layout.
-    layout, layout_heads = _cycle_layout(succ)
+    # pos and heads are the layout of the pairing's predecessors.
+    layout, layout_heads = _cycle_layout(in_order)
     assert np.array_equal(pos, layout)
     assert np.array_equal(heads, layout_heads)
 
@@ -1021,10 +1047,11 @@ def _assert_splice_matches_walk(g, stride, wide, walk_min=2,
             return set()
         assert got.dtype == (np.int64 if wide else np.int32)
         assert got.tolist() == want
-        pos, heads = _cycle_layout(succ)
+        pos, heads = _cycle_layout(in_order)
     cases = set()
-    # A run of r joins changes r + 1 successors, a lone join 2.
-    moved = np.flatnonzero(joined != succ)
+    # A run of r joins changes r + 1 predecessors, a lone join 2; the
+    # circuit cuts the predecessor layout after each changed edge's slot.
+    moved = joined[np.flatnonzero(joined != succ)]
     if moved.size < 2 * (heads.size - 1):
         cases.add("rotation")
     if np.isin(pos[moved] + 1, np.append(heads, g.edge_count)).any():
