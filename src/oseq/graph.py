@@ -334,7 +334,7 @@ def _gather(table: np.ndarray, index: np.ndarray, out=None) -> np.ndarray:
 
 
 def _scatter(table: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
-    """table[index] = values for a repeat-free index, put as _gather reads."""
+    """table[index] = values for a repeat-free index, blocked as in _gather."""
     for lo in range(0, index.size, _GATHER_BLOCK):
         table.put(index[lo:][:_GATHER_BLOCK], values[lo:][:_GATHER_BLOCK], mode="wrap")
 
@@ -549,15 +549,15 @@ def _join_cycles(g: DBSubgraph):
     in-edges by target is that pairing's predecessors.  It exists exactly
     when g is balanced, and otherwise a DomainError names the unbalanced
     vertices.  Swapping the predecessors of two out-edges of one vertex on
-    different cycles splices those cycles (Etzion & Lempel's cycle
-    joining).  The joins are the ones an in-order scan with
-    a union-find over the cycles makes at consecutive in-edges, vertices
-    in code order: the minimum spanning forest of the cycle pairs weighted
-    by position.  The scan joins nothing once the cycles connect, so the
-    positions are read in chunks of doubling size, their cycles relabelled
-    by the components so far, and Borůvka's rounds join each chunk.  If
-    some cycles share no vertex, a DisconnectedError counts the edges of
-    the forest's components: the weak, so in a balanced graph the strong.
+    different cycles splices those cycles (Etzion & Lempel's cycle joining).
+    The joins are the ones an in-order scan with a union-find over the
+    cycles makes at consecutive in-edges, vertices in code order: the
+    minimum spanning forest of the cycle pairs weighted by position.  The
+    scan joins nothing once the cycles connect, so the positions are read
+    in chunks of doubling size, their cycles relabelled by the components
+    so far, and Borůvka's rounds join each chunk.  If some cycles share no
+    vertex, a DisconnectedError counts the edges of the forest's
+    components: the weak, so in a balanced graph the strong.
     """
     m, k, edges = g.edge_count, g.k, g.edges
     index = _index_dtype(m)
