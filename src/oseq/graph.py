@@ -486,9 +486,8 @@ def _spanning_forest(ca: np.ndarray, cb: np.ndarray,
     Each round, every component hooks onto its lightest edge leaving it;
     the weights are distinct, so those edges belong to the one minimum
     forest, which is also the one that Kruskal's in-order scan builds.
-    Once a table over all pairs of components is no larger than the edge
-    list, only the lightest edge between each pair is kept.  Returns the
-    forest's edges ascending and each node's component, numbered from 0.
+    Returns the forest's edges ascending and each node's component,
+    numbered from 0.
     """
     index = ca.dtype
     comp = np.arange(nodes, dtype=index)
@@ -496,14 +495,8 @@ def _spanning_forest(ca: np.ndarray, cb: np.ndarray,
     edge = np.arange(ca.size, dtype=index)
     # Each node is its own component and every edge leaves it, so the
     # first round starts from the edges as given.
-    picked = []
+    picked = [edge[:0]]
     while edge.size:
-        if count * count <= edge.size:
-            pair = np.minimum(ca, cb) * count + np.maximum(ca, cb)
-            lightest = np.full(count * count, edge.size, dtype=index)
-            np.minimum.at(lightest, pair, np.arange(edge.size, dtype=index))
-            keep = np.sort(lightest[lightest < edge.size])
-            edge, ca, cb = edge[keep], ca[keep], cb[keep]
         # Edges stay in weight order, so the position is the weight.
         lightest = np.full(count, edge.size, dtype=index)
         for side in (ca, cb):
@@ -512,8 +505,9 @@ def _spanning_forest(ca: np.ndarray, cb: np.ndarray,
         best = lightest[roots]
         other = np.where(ca[best] == roots, cb[best], ca[best])
         # Two components that share their lightest edge would hook onto
-        # each other; the smaller one stays a root instead.
+        # each other; the smaller one stays a root, so each edge hooks once.
         hooks = (lightest.take(other) != best) | (other < roots)
+        picked.append(edge[best[hooks]])
         parent = np.arange(count, dtype=index)
         parent[roots[hooks]] = other[hooks]
         while True:
@@ -524,15 +518,10 @@ def _spanning_forest(ca: np.ndarray, cb: np.ndarray,
         renumber = (parent == np.arange(count)).cumsum(dtype=index) - 1
         renumber, count = renumber.take(parent), int(renumber[-1]) + 1
         comp = renumber.take(comp)
-        picked.append(edge[_sorted_unique(best)])
         ca, cb = renumber.take(ca), renumber.take(cb)
         keep = (ca != cb).nonzero()[0]
-        # One at a time, so that each old array is freed before the next.
-        edge = edge[keep]
-        ca = ca[keep]
-        cb = cb[keep]
-    joins = np.sort(np.concatenate(picked)) if picked else edge[:0]
-    return joins, comp
+        edge, ca, cb = edge[keep], ca[keep], cb[keep]
+    return np.sort(np.concatenate(picked)), comp
 
 
 # The forest reads the in-edge positions in chunks that double from this size.

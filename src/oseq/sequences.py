@@ -80,7 +80,10 @@ def parse_symbols(raw: str, k: int) -> np.ndarray:
         parts = raw.split(",")
         if not all(p.isascii() and p.isdigit() for p in parts):
             raise DomainError("symbols must be comma-separated integers")
-        symbols = [int(p) for p in parts]
+        try:
+            symbols = [int(p) for p in parts]
+        except ValueError:  # past sys.get_int_max_str_digits(), 4300 by default
+            raise DomainError("a symbol has too many digits to read") from None
         if max(symbols) > _INT64_MAX:
             raise DomainError(f"symbol {max(symbols)} does not fit in 64 bits")
     symbols = checked_symbols(

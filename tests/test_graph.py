@@ -881,24 +881,38 @@ def _kruskal(a, b, nodes):
     return picked, [find(x) for x in range(nodes)]
 
 
+def _dense_edges(nodes):
+    """50-200 edges, none a loop, among nodes 0..nodes-1."""
+    edge = st.tuples(st.integers(0, nodes - 1), st.integers(1, nodes - 1))
+    return st.lists(edge.map(lambda e: (e[0], (e[0] + e[1]) % nodes)),
+                    min_size=50, max_size=200)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 40).flatmap(lambda nodes: st.tuples(
     st.just(nodes),
     st.lists(st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1)),
-             max_size=120))))
+             max_size=120)))
+       | st.integers(2, 4).flatmap(lambda nodes: st.tuples(
+           st.just(nodes), _dense_edges(nodes))))
 def test_spanning_forest_matches_kruskal(case):
+    # Sparse graphs on up to 40 nodes, and dense multigraphs whose few
+    # components keep many parallel edges between them from round to round.
     nodes, pairs = case
     # Every edge joins two nodes, as between the cycles that _join_cycles
     # passes: the first round takes the edges as given.
     pairs = [(u, v) for u, v in pairs if u != v]
-    a = np.array([u for u, _ in pairs], dtype=np.int32)
-    b = np.array([v for _, v in pairs], dtype=np.int32)
-    joins, comp = _spanning_forest(a, b, nodes)
-    picked, roots = _kruskal(a.tolist(), b.tolist(), nodes)
-    assert joins.tolist() == picked
-    # Same partition of the nodes, components numbered from 0.
-    assert sorted(set(comp.tolist())) == list(range(len(set(roots))))
-    assert len(set(zip(comp.tolist(), roots))) == len(set(roots))
+    ends_a, ends_b = [u for u, _ in pairs], [v for _, v in pairs]
+    picked, roots = _kruskal(ends_a, ends_b, nodes)
+    # Past 2**31 edges the circuit's indexes, and so the forest, are int64.
+    for dtype in (np.int32, np.int64):
+        a, b = np.array(ends_a, dtype=dtype), np.array(ends_b, dtype=dtype)
+        joins, comp = _spanning_forest(a, b, nodes)
+        assert joins.dtype == comp.dtype == dtype
+        assert joins.tolist() == picked
+        # Same partition of the nodes, components numbered from 0.
+        assert sorted(set(comp.tolist())) == list(range(len(set(roots))))
+        assert len(set(zip(comp.tolist(), roots))) == len(set(roots))
 
 
 def _union_find_joins(succ, in_order, sources):

@@ -161,3 +161,16 @@ def test_parsed_symbols_are_a_read_only_array():
     with pytest.raises(DomainError, match="64 bits"):
         parse_symbols(f"1,{2**63}", 2**64)
     assert parse_symbols(f"1,{2**63 - 1}", 2**64).tolist() == [1, 2**63 - 1]
+
+
+def test_wide_parse_names_a_symbol_past_the_digit_limit():
+    # int() refuses more than 4300 digits, leading zeros included; that is
+    # a DomainError too.  Shorter fields keep their value or their message.
+    for field in ("9" * 5000, "0" * 4300 + "1", "1" * 4301):
+        with pytest.raises(DomainError, match="^a symbol has too many digits to read$"):
+            parse_symbols(f"1,{field}", 11)
+    with pytest.raises(DomainError, match=f"^symbol {'9' * 4300} does not fit in 64 bits$"):
+        parse_symbols(f"1,{'9' * 4300}", 11)
+    with pytest.raises(DomainError, match=f"^symbol {'9' * 25} does not fit in 64 bits$"):
+        parse_symbols(f"{'9' * 25},1", 11)
+    assert parse_symbols(f"{'0' * 4299}7,007,10", 11).tolist() == [7, 7, 10]

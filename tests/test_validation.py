@@ -275,6 +275,21 @@ def test_bound_prints_up_to_the_digit_limit(capsys):
     assert capsys.readouterr().err == "error: 10**4300 has more than 4300 digits\n"
 
 
+def test_cli_refuses_a_symbol_past_the_digit_limit(tmp_path, capsys):
+    # int() reads at most 4300 digits, leading zeros included; past that a
+    # wide-alphabet file is refused like any other malformed one.
+    for field in ("9" * 5000, "0" * 4300 + "1"):
+        path = tmp_path / "long.txt"
+        path.write_text(f"k=11 n=2 period=2 method=unknown\n1,{field}\n",
+                        encoding="ascii")
+        for argv in (["verify", "--in", str(path)],
+                     ["locate", "--in", str(path), "--window", "1,0"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: a symbol has too many digits to read\n"
+
+
 def test_table_bounds_refuses_before_any_cell(monkeypatch, capsys):
     # The first bound too wide to print, in grid order, is 8**4762; no cell
     # before it is computed, however far --max-n reaches.
