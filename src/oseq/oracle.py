@@ -31,7 +31,7 @@ from .tuples import at_least, checked_word
 
 EXHAUSTIVE_STATE_CAP = 256
 DEFAULT_NODE_BUDGET = 5_000_000
-_MEMO_CAP = 4096  # search states in exhaustive_max_period's table
+_MEMO_CAP = 8192  # search table: the largest power of two under (3,5)'s 1 MiB guard
 
 
 class Direction(str, Enum):
@@ -278,14 +278,18 @@ def exhaustive_max_period(k: int, n: int,
     reflection by only starting from windows below their own reversal.
     Bit d of vertex v's mask is set while edge v*k + d is above the start
     edge, no palindrome, and off the trail with its reversal.  A frame
-    reads its mask once, on entry, kept exact by restoring every mask
-    before a frame resumes, and takes edges lowest bit first: the order
-    behind the witness and node count that tests/test_oracle.py pins.
+    reads its mask once, on entry, takes edges lowest bit first (the order
+    behind the witness and node count that tests/test_oracle.py pins), and
+    restores each reversal's mask after its child and its own after the
+    last.  A child with no free edge at its head, unless that is the start
+    vertex, is a dead end: a node, counted without a frame.
 
     Under one start edge, a frame's end vertex and trail edge pairs fix its
     subtree; a frame with two or more free edges credits a subtree held in
-    the table whole, if its node count fits.  node_budget and nodes_expanded
-    count DFS tree nodes, credited ones included, so they bound the work.
+    the table whole, if its node count fits.  The table holds _MEMO_CAP
+    subtrees, the largest power of two under (3,5)'s memory guard, and is
+    cleared when full.  node_budget and nodes_expanded count DFS tree
+    nodes, credited ones and dead ends included, so they bound the work.
     """
     at_least(k, 2, "alphabet size")
     at_least(n, 2, "window length")
@@ -332,10 +336,11 @@ def exhaustive_max_period(k: int, n: int,
             avail[v] = mask ^ bit
             saved = avail[rv]
             avail[rv] = saved & ~rbit
-            walk[depth] = e
-            dfs(head, depth + 1, state + step)
+            if avail[head] or head == start_v:  # else a dead end: no frame
+                walk[depth] = e
+                dfs(head, depth + 1, state + step)
             avail[rv] = saved
-            avail[v] = mask
+        avail[v] = mask
         if branches:
             if len(memo) >= _MEMO_CAP:
                 memo.clear()

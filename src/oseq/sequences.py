@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     from .oracle import Decoder
 
 _HEADER_RE = re.compile(
-    r"^k=(\d+) n=(\d+) period=(\d+) method=(\S+)\s*$")
+    r"^k=([0-9]+) n=([0-9]+) period=([0-9]+) method=(\S+)\s*$")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +124,13 @@ def parse_sequence_file(text: str) -> ParsedSequenceFile:
     m = _HEADER_RE.match(lines[0])
     if m is None:
         raise DomainError(f"malformed header line: {lines[0]!r}")
-    k, n, period = int(m.group(1)), int(m.group(2)), int(m.group(3))
+    values = []
+    for name, digits in zip(("k", "n", "period"), m.groups()):
+        try:
+            values.append(int(digits))
+        except ValueError:  # past sys.get_int_max_str_digits(), 4300 by default
+            raise DomainError(f"header field {name}= has too many digits to read") from None
+    k, n, period = values
     method = m.group(4)
     body = [line for line in lines[1:] if line.strip()]
     if len(body) != 1:
@@ -144,5 +150,9 @@ def write_sequence_file(path, seq: OrientableSequence,
 
 
 def read_sequence_file(path) -> ParsedSequenceFile:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_sequence_file(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        offset = re.search(rb"[\x80-\xff]", data).start()
+        raise DomainError(f"non-ASCII byte at offset {offset}")
+    return parse_sequence_file(data.decode("ascii"))

@@ -348,7 +348,7 @@ def test_exhaustive_outcome_is_pinned(cell):
     assert outcome == SearchOutcome(k, n, period, witness, exact, nodes)
 
 
-def _reference_max_period(k, n, node_budget, repeats=None):
+def _reference_max_period(k, n, node_budget, repeats=None, dead_ends=None):
     """The recursive search that exhaustive_max_period replaced: it tests
     every candidate edge of a vertex against the start edge, palindromes
     and the used set, and unwinds by returning True.
@@ -357,7 +357,10 @@ def _reference_max_period(k, n, node_budget, repeats=None):
     after) of every subtree it completes whose root state was searched
     before from the same start edge and has two or more free edges: the
     subtrees that exhaustive_max_period's table may credit whole.  A
-    state is the end vertex and the trail edges with their reversals."""
+    state is the end vertex and the trail edges with their reversals.
+    Given a list as dead_ends, it appends the node index of every child
+    whose head is not the start vertex and has no free edge: the nodes
+    that exhaustive_max_period counts without a frame."""
     total, vbase = k**n, k ** (n - 1)
     rev = _reverse_codes(np.arange(total), k, n).tolist()
     bound = period_upper_bound(k, n)
@@ -369,6 +372,10 @@ def _reference_max_period(k, n, node_budget, repeats=None):
     budget_hit = False
     seen = set()
 
+    def free_edges(v, floor):
+        return sum(e > floor and rev[e] != e and not used[e] and not used[rev[e]]
+                   for e in range(v * k, v * k + k))
+
     def dfs(v, start_v, floor):
         nonlocal best, best_walk, nodes, budget_hit
         if v == start_v and len(walk) > best:
@@ -378,8 +385,7 @@ def _reference_max_period(k, n, node_budget, repeats=None):
                 return True
         base = v * k
         if repeats is not None:
-            free = sum(e > floor and rev[e] != e and not used[e] and not used[rev[e]]
-                       for e in range(base, base + k))
+            free = free_edges(v, floor)
             state = (v, frozenset(walk + [rev[e] for e in walk]))
             before, again = nodes, state in seen
             seen.add(state)
@@ -395,8 +401,11 @@ def _reference_max_period(k, n, node_budget, repeats=None):
                 return True
             nodes += 1
             used[e] = 1
+            head = e % vbase
+            if dead_ends is not None and head != start_v and not free_edges(head, floor):
+                dead_ends.append(nodes)
             walk.append(e)
-            stop = dfs(e % vbase, start_v, floor)
+            stop = dfs(head, start_v, floor)
             walk.pop()
             used[e] = 0
             if stop:
@@ -431,15 +440,18 @@ def test_exhaustive_matches_reference_search(cell):
     # bound stop and a complete search.  On three cells, budgets one below,
     # at and one above the end of a repeated subtree (the first three and
     # the three largest within 10,000 nodes) stop the search just before,
-    # at and after the node where its table may credit that subtree whole.
+    # at and after the node where its table may credit that subtree whole;
+    # and budgets one below, at and one above each of the first three dead
+    # ends, children that it counts without a frame.
     k, n = cell
     rng = random.Random(100 * k + n)
     budgets = [5000] + [rng.randrange(5000) for _ in range(2)]
     if cell in ((4, 3), (3, 4), (8, 2)):
-        repeats = []
-        _reference_max_period(k, n, 10_000, repeats)
+        repeats, dead_ends = [], []
+        _reference_max_period(k, n, 10_000, repeats, dead_ends)
         largest = sorted(repeats, key=lambda span: span[1] - span[0])[-3:]
         budgets += [after + d for _, after in repeats[:3] + largest for d in (-1, 0, 1)]
+        budgets += [node + d for node in dead_ends[:3] for d in (-1, 0, 1)]
     for budget in budgets:
         want = _reference_max_period(k, n, budget)
         assert exhaustive_max_period(k, n, node_budget=budget) == want
@@ -448,7 +460,7 @@ def test_exhaustive_matches_reference_search(cell):
 def test_exhaustive_search_memory_is_bounded():
     # (3,5) meets many distinct states: a table kept for every one of them
     # traces 1.5 MiB here and tens of MB at the default budget, the bounded
-    # table about 0.4 MiB.  It is freed on return, not left to the cycle
+    # table about 0.8 MiB.  It is freed on return, not left to the cycle
     # collector.
     gc.disable()
     tracemalloc.start()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oseq.errors import DomainError
+from oseq.errors import DomainError, ResourceCapError
 from oseq.sequences import (
     OrientableSequence,
     format_symbols,
@@ -174,3 +174,82 @@ def test_wide_parse_names_a_symbol_past_the_digit_limit():
     with pytest.raises(DomainError, match=f"^symbol {'9' * 25} does not fit in 64 bits$"):
         parse_symbols(f"{'9' * 25},1", 11)
     assert parse_symbols(f"{'0' * 4299}7,007,10", 11).tolist() == [7, 7, 10]
+
+
+def test_header_fields_are_ascii_digits_that_int_can_read():
+    # int() would take the Arabic-Indic "٣" as 3; the header reads ASCII
+    # digits only, as the symbol line does.
+    with pytest.raises(DomainError, match="^malformed header line: 'k=٣ n=2 period=2 method=a'$"):
+        parse_sequence_file("k=٣ n=2 period=2 method=a\n01\n")
+    # Past int()'s 4300-digit limit, leading zeros included, a field is
+    # named; up to it, the value is read as before.
+    for name, header in [("k", f"k={'1' * 5000} n=2 period=2"),
+                         ("n", f"k=3 n={'0' * 4300}2 period=2"),
+                         ("period", f"k=3 n=2 period={'2' * 4301}")]:
+        with pytest.raises(DomainError, match=f"^header field {name}= has too many digits to read$"):
+            parse_sequence_file(f"{header} method=a\n01\n")
+    parsed = parse_sequence_file(f"k=3 n={'0' * 4299}2 period=2 method=a\n01\n")
+    assert (parsed.k, parsed.n, parsed.period) == (3, 2, 2)
+
+
+def test_read_names_the_offset_of_a_non_ascii_byte(tmp_path):
+    path = tmp_path / "seq.txt"
+    path.write_bytes("k=٣ n=2 period=2 method=a\n01\n".encode())
+    with pytest.raises(DomainError, match="^non-ASCII byte at offset 2$"):
+        read_sequence_file(path)
+    # The offset counts bytes as stored, "\r\n" as two.
+    path.write_bytes(b"k=3 n=2 period=2 method=a\r\n0\xff\n")
+    with pytest.raises(DomainError, match="^non-ASCII byte at offset 28$"):
+        read_sequence_file(path)
+    path.write_bytes(b"k=3 n=2 period=2 method=a\r\n01\r\n")
+    assert read_sequence_file(path).symbols.tolist() == [0, 1]
+
+
+# Header values: the alphabet sizes either side of the digit format and a
+# 64-bit one, small numbers, and runs of 0 to 5,000 digits, some of them
+# non-ASCII, around int()'s 4,300-digit limit.
+HEADER_FIELDS = st.one_of(
+    st.sampled_from(["10", "11", str(2**63)]), st.integers(0, 12).map(str),
+    st.builds(str.__mul__, st.sampled_from(["1", "0", "9", "٣", "३"]),
+              st.sampled_from([0, 1, 4300, 4301, 5000]) | st.integers(0, 5000)))
+
+
+@st.composite
+def sequence_file_texts(draw):
+    """Sequence-file text whose header fields are drawn from HEADER_FIELDS,
+    whose symbols lie below k where k reads as a small number, and whose
+    lines break at any of str.splitlines' breaks, blank lines between."""
+    k, n = draw(HEADER_FIELDS), draw(HEADER_FIELDS)
+    alphabet = int(k) if k.isascii() and k.isdigit() and len(k) < 25 else 12
+    symbols = draw(st.lists(st.integers(0, max(min(alphabet, 12) - 1, 0)),
+                            min_size=1, max_size=20))
+    period = draw(st.just(str(len(symbols))) | HEADER_FIELDS)
+    lines = [f"k={k} n={n} period={period} method=a"]
+    lines += [""] * draw(st.integers(0, 2))
+    lines += [("" if alphabet <= 10 else ",").join(map(str, symbols))]
+    lines += [""] * draw(st.integers(0, 1))
+    breaks = st.sampled_from(["\n", "\r\n", "\x0b", "\x0c", "\x1c"])
+    return "".join(line + draw(breaks) for line in lines)
+
+
+# Each file is parsed twice, from text and from disk, within the same 5 s
+# as the CLI fuzz allows one command.
+@settings(max_examples=200, deadline=5000)
+@given(text=sequence_file_texts())
+def test_file_format_fuzz_raises_only_named_errors(tmp_path_factory, text):
+    try:
+        parsed = parse_sequence_file(text)
+    except (DomainError, ResourceCapError) as exc:
+        parsed = exc
+    path = tmp_path_factory.getbasetemp() / "format_fuzz.txt"
+    path.write_bytes(text.encode())
+    try:
+        read = read_sequence_file(path)
+    except (DomainError, ResourceCapError, OSError) as exc:
+        read = exc
+    # The file reader accepts exactly the files that the parser accepts.
+    assert isinstance(read, Exception) == isinstance(parsed, Exception)
+    if not isinstance(parsed, Exception):
+        assert (read.k, read.n, read.period, read.method) == (
+            parsed.k, parsed.n, parsed.period, parsed.method)
+        assert np.array_equal(read.symbols, parsed.symbols)
