@@ -341,11 +341,10 @@ def _scatter(table: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
 
 # Up to _SEQUENTIAL_MAX elements, _cycle_layout steps through the cycles in
 # plain Python; from _WALK_MIN on, it walks from rulers in O(m); between,
-# doubling's log2(m) numpy passes cost less.  A ruler-free remainder walks
-# only from _REST_WALK_MIN on: most of its short cycles hold no ruler.
+# doubling's log2(m) numpy passes cost less.  A ruler-free remainder is
+# always doubled: most of its short cycles hold no ruler at any stride.
 _SEQUENTIAL_MAX = 1 << 9
 _WALK_MIN = 1 << 11
-_REST_WALK_MIN = 1 << 17
 
 
 def _ruler_stride(m: int) -> int:
@@ -384,23 +383,23 @@ def _walk(succ: np.ndarray, stride: int):
     return None
 
 
-def _cycle_layout(succ: np.ndarray, floor: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _cycle_layout(succ: np.ndarray, rulers: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """A slot for each element of the permutation succ, and each cycle's
     first slot, ascending: every cycle fills consecutive slots in
-    successor order, and element 0 sits at slot 0.
+    successor order, and element 0 sits at slot 0.  The circuit asks no
+    more: the order of the other cycles and their starts do not move it.
 
     One _walk places each ruler at the sum of the gaps before it in the
     layout of the ruler permutation, and each element on the trail its
     step count after its walk's ruler, whose slot overwrites who in place.
-    Arrays under _WALK_MIN or the floor given (the cycles without a
-    ruler pass _REST_WALK_MIN), and arrays too adversarial to walk, are
-    laid out by pointer doubling, ordered by smallest element.
+    Arrays under _WALK_MIN, ruler-free remainders (rulers=False) and arrays
+    too adversarial to walk are doubled, ordered by smallest element.
     """
     m, index = succ.size, succ.dtype
     if m <= _SEQUENTIAL_MAX:
         return _sequential_layout(succ)
     stride = _ruler_stride(m)
-    walk = _walk(succ, stride) if m >= max(floor, _WALK_MIN) else None
+    walk = _walk(succ, stride) if rulers and m >= _WALK_MIN else None
     if walk is None:
         labels = _doubling_labels(succ)
         size = np.bincount(labels).astype(index)
@@ -428,8 +427,7 @@ def _cycle_layout(succ: np.ndarray, floor: int = 0) -> tuple[np.ndarray, np.ndar
         # The cycles off the trail are closed under succ; until they are
         # placed, pos maps each of their elements to its place in rest.
         pos[rest] = np.arange(rest.size, dtype=index)
-        rest_pos, rest_heads = _cycle_layout(pos.take(succ.take(rest)),
-                                             _REST_WALK_MIN)
+        rest_pos, rest_heads = _cycle_layout(pos.take(succ.take(rest)), False)
         pos[rest] = rest_pos + placed
         heads = np.concatenate([heads, rest_heads + placed])
     return pos, heads
@@ -713,20 +711,17 @@ def window_codes(symbols: np.ndarray | Sequence[int], n: int, k: int,
 
 def window_ids(symbols: np.ndarray | Sequence[int], n: int,
                k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of the forward and of the reversed cyclic n-windows of one period.
+    """Ids of the forward and of the reversed cyclic n-windows of one period,
+    for k < 2**63; verify asks only past 64-bit window codes.
 
     Two windows, forward or reversed, get equal ids exactly when they
-    are equal.  The ids are the codes of window_codes when k**n fits in
-    64 bits.  Otherwise, for k < 2**63, they are dense ranks among all 2m
-    windows, found by prefix doubling (Manber & Myers, SIAM J. Comput.
-    1993) in O(m log n): the reversed window at i is the forward window
-    at (m - i - n) mod m of the reversed period, and each round ranks the
-    words of length h + step of both cyclic strings from the ranks of
-    their first and last h symbols, in one sort, until h reaches n or all
-    2m words differ.
+    are equal.  Past 64 bits they are dense ranks among all 2m windows, by
+    prefix doubling (Manber & Myers, SIAM J. Comput. 1993) in O(m log n):
+    the reversed window at i is the forward window at (m - i - n) mod m
+    of the reversed period, and each round ranks the words of length
+    h + step of both cyclic strings from the ranks of their first and
+    last h symbols, in one sort, until h reaches n or all 2m words differ.
     """
-    if _fits_int64(k, n):
-        return window_codes(symbols, n, k), window_codes(symbols, n, k, reverse=True)
     s = np.asarray(symbols)
     m = s.size
     index = _index_dtype(2 * m)

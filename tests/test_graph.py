@@ -283,10 +283,10 @@ def test_connectivity_matches_tarjan_on_split_cells(k, n):
 
 
 def test_split_cell_walked_from_rulers_names_its_components():
-    # Past _REST_WALK_MIN, walked at a stride of 32; Tarjan's count above
-    # covers the split cells on both sides of _WALK_MIN.
+    # Walked at a stride of 32, its ruler-free cycles doubled; Tarjan's
+    # count above covers the split cells on both sides of _WALK_MIN.
     g = end_difference_graph(3, 12)
-    assert g.edge_count == 177_147 >= graph._REST_WALK_MIN
+    assert g.edge_count == 177_147 and graph._ruler_stride(g.edge_count) == 32
     with pytest.raises(DisconnectedError) as err:
         _circuit_order(g)
     assert err.value.component_edge_counts == (33,) * 5368 + (3,)
@@ -365,11 +365,15 @@ def _circuit_peak(g):
     # and a running count of them to number the pieces read 6.1, and the
     # cycle numbers of each chunk of positions by np.take 5.9.
     (lambda: lifted_low_pseudoweight_graph(7, 6), 6),
-    # The layout recursing over the ruler-free cycles, ending in doubling
-    # labels and ranks, reads about 6.7; a successor array kept beside the
-    # pairing's predecessors reads 7.7.
-    (lambda: lifted_low_pseudoweight_graph(8, 6), 7),
-], ids=["a-8-7", "lempel-7-7", "lempel-8-7"])
+    # Doubling labels and ranks over the 285,467 ruler-free elements read
+    # about 5.2; walking them again, in a recursion down to doubling, read
+    # 6.7, and a successor array kept beside the predecessors 7.7.
+    (lambda: lifted_low_pseudoweight_graph(8, 6), 6),
+    # The same over 1,901,290 ruler-free elements reads about 5.1; walking
+    # them again, in 104 nested layouts, read 8.3.
+    pytest.param(lambda: lifted_low_pseudoweight_graph(8, 7), 6,
+                 marks=pytest.mark.extended),
+], ids=["a-8-7", "lempel-7-7", "lempel-8-7", "lempel-8-8"])
 def test_circuit_peak_memory(build, bound):
     g = build()
     assert _circuit_peak(g) <= bound
@@ -624,10 +628,11 @@ def test_circuit_with_wide_indexes(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 400), st.randoms(use_true_random=False))
 def test_doubling_helpers_in_int64(m, rnd):
-    # Random cycles, laid out and checked against plain walks: by pointer
-    # doubling at these sizes, and by ruler walks with both floors patched
-    # down, so that cycles with and without a ruler both occur.  (At 2 the
-    # walks recurse down to a single ruler and stop there.)
+    # Random cycles, laid out and checked against plain walks, with the
+    # sequential pass patched off: by pointer doubling at these sizes, and
+    # by ruler walks with _WALK_MIN patched down, so that cycles with and
+    # without a ruler both occur.  (At 2 the walks recurse down to a single
+    # ruler and stop there.)
     order = rnd.sample(range(m), m)
     cuts = sorted(rnd.sample(range(1, m), rnd.randint(0, m - 1)))
     cycles = [order[lo:hi] for lo, hi in zip([0] + cuts, cuts + [m])]
@@ -643,7 +648,7 @@ def test_doubling_helpers_in_int64(m, rnd):
     for walk_min in (graph._WALK_MIN, 2):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph, "_WALK_MIN", walk_min)
-            mp.setattr(graph, "_REST_WALK_MIN", walk_min)
+            mp.setattr(graph, "_SEQUENTIAL_MAX", 0)
             pos, heads = _cycle_layout(succ)
             ranks, one_head = _cycle_layout(whole)
         assert pos.dtype == heads.dtype == np.int64
@@ -814,15 +819,15 @@ def test_circuit_walks_the_pairing_once(monkeypatch):
     # joined cycle is spliced from that layout, not walked again.
     g = end_difference_graph(9, 6)
     m, stride = g.edge_count, graph._ruler_stride(g.edge_count)
-    assert m >= graph._REST_WALK_MIN and stride == 32
+    assert m == 236_196 and stride == 32
     want = _circuit_order(g)
     layout, counted = graph._cycle_layout, []
 
-    def counted_layout(succ, floor=0):
+    def counted_layout(succ, rulers=True):
         if succ.size == m:
             succ = _counting(succ)
             counted.append(succ)
-        return layout(succ, floor)
+        return layout(succ, rulers)
 
     monkeypatch.setattr(graph, "_cycle_layout", counted_layout)
     pairing, order, walked, _ = _walks_and_doublings(g)
@@ -841,25 +846,93 @@ def test_circuit_walks_the_pairing_once(monkeypatch):
 
 
 def test_table_cell_walked_from_rulers():
-    # Every cell of the benchmark's table grid has fewer than
-    # _REST_WALK_MIN edges; from _WALK_MIN on the pairing is walked, and
-    # doubling sees only the ruler permutations and the ruler-free rest.
+    # From _WALK_MIN on the pairing is walked, and doubling sees only the
+    # ruler permutations and the ruler-free rest.
     g = end_difference_graph(8, 6)
     m, stride = g.edge_count, graph._ruler_stride(g.edge_count)
-    assert graph._WALK_MIN <= m == 98_304 < graph._REST_WALK_MIN
+    assert graph._WALK_MIN <= m == 98_304
     _, _, walked, doubled = _walks_and_doublings(g)
     assert walked[0][:2] == (m, stride) == (98_304, 16)
     assert max(doubled) < m // stride
 
 
-def test_ruler_free_remainder_doubled_below_its_floor():
-    # Most of a Lempel pairing's short cycles hold no ruler at any stride;
-    # (lempel,7,7) leaves 99,940 of its 388,626 edges to doubling, which
-    # costs less there than a walk at the stride of that size.
-    g = lifted_low_pseudoweight_graph(7, 6)
+@pytest.mark.parametrize("k,n,walks,rest", [
+    (7, 6, [(388_626, 64), (6073, 4)], 99_940),
+    (8, 6, [(959_160, 64), (14_987, 4), (3747, 4)], 285_467),
+], ids=["lempel-7-7", "lempel-8-7"])
+def test_ruler_free_remainder_is_doubled(k, n, walks, rest):
+    # Most of a Lempel pairing's short cycles hold no ruler at any stride.
+    # The elements off the trail go to doubling in one call, not to a walk
+    # at the stride of their size and nested layouts down its own
+    # ruler-free cycles: the pairing and its ruler permutations are the
+    # only walks.
+    g = lifted_low_pseudoweight_graph(k, n)
     _, _, walked, doubled = _walks_and_doublings(g)
-    assert [size for size, _, _ in walked] == [388_626, 6073]
-    assert graph._WALK_MIN <= doubled[-1] == 99_940 < graph._REST_WALK_MIN
+    assert [(size, stride) for size, stride, _ in walked] == walks
+    assert max(doubled) == rest
+
+
+def _relaid(pos, heads, rng):
+    """The layout pos, heads with the cycle at slot 0 kept in place and
+    every other cycle rotated to a random start, the cycles shuffled."""
+    m = pos.size
+    lengths = np.diff(heads, append=m)
+    order = np.concatenate([[0], 1 + rng.permutation(heads.size - 1)])
+    new_heads = lengths[order].cumsum() - lengths[order]
+    start = np.empty_like(new_heads)
+    start[order] = new_heads
+    shift = rng.integers(0, lengths)
+    shift[0] = 0
+    cycle = np.repeat(np.arange(heads.size), lengths)
+    slot = start[cycle] + (np.arange(m) - heads[cycle] - shift[cycle]) % lengths[cycle]
+    return slot[pos].astype(pos.dtype), new_heads.astype(heads.dtype)
+
+
+def _assert_circuit_ignores_cycle_order(g, seed):
+    """_circuit_order(g) is unchanged when the pairing's layout is re-laid
+    by _relaid; returns whether the re-laid layout differed."""
+    want, layout = _circuit_order(g), graph._cycle_layout
+    rng, moved = np.random.default_rng(seed), []
+
+    def relaid_layout(succ, rulers=True):
+        pos, heads = layout(succ, rulers)
+        if succ.size < g.edge_count:  # a nested layout
+            return pos, heads
+        new_pos, new_heads = _relaid(pos, heads, rng)
+        if succ.size <= 5000:
+            _assert_layout(new_pos, new_heads, succ)
+        moved.append(not np.array_equal(new_pos, pos))
+        return new_pos, new_heads
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_cycle_layout", relaid_layout)
+        assert np.array_equal(_circuit_order(g), want)
+    return moved == [True]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: end_difference_graph(5, 3),
+    lambda: end_difference_graph(8, 6),
+    lambda: lifted_low_pseudoweight_graph(4, 3),
+    lambda: lifted_low_pseudoweight_graph(6, 4),
+    lambda: lifted_low_pseudoweight_graph(7, 5),
+], ids=["a-5-3", "a-8-6", "lempel-4-4", "lempel-6-5", "lempel-7-6"])
+def test_circuit_ignores_the_layouts_cycle_order_and_starts(build):
+    # The layout contract: cycle 0 first from slot 0, each cycle on
+    # consecutive slots in order; which cycle follows which, and where
+    # each starts, must not move the circuit.
+    g = build()
+    for seed in range(2):
+        assert _assert_circuit_ignores_cycle_order(g, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.integers(1, 8))
+def test_circuit_ignores_cycle_order_on_random_graphs(k, order, seed, walks):
+    g = _eulerian_union(k, order, seed, walks)
+    assume(g.edge_count)
+    _assert_circuit_ignores_cycle_order(g, seed)
 
 
 def _kruskal(a, b, nodes):
@@ -1025,7 +1098,8 @@ def _pairing(g):
 def _assert_splice_matches_walk(g, stride, wide, walk_min=2,
                                 chunk=graph._JOIN_CHUNK):
     """_circuit_order from the pairing's layout, with permutations of
-    walk_min elements and up walked (ruler-free remainders too), rulers
+    walk_min elements and up walked and the rest doubled (below the real
+    _WALK_MIN, the sequential pass takes single elements only), rulers
     every stride elements (None: the stride of each size) and the forest's
     first chunk of chunk positions, equals a pure-Python walk of the
     successors that the union-find reference joins, from edge 0, or
@@ -1045,8 +1119,9 @@ def _assert_splice_matches_walk(g, stride, wide, walk_min=2,
             want.append(j)
             j = int(joined[j])
     with pytest.MonkeyPatch.context() as mp:
+        if walk_min < graph._WALK_MIN:
+            mp.setattr(graph, "_SEQUENTIAL_MAX", 1)
         mp.setattr(graph, "_WALK_MIN", walk_min)
-        mp.setattr(graph, "_REST_WALK_MIN", walk_min)
         if stride is None:
             stride = graph._ruler_stride(g.edge_count)
         else:
@@ -1086,8 +1161,8 @@ def test_splice_matches_walk_of_joined_successors(wide, k, order, seed,
                                                   parts, walks, stride,
                                                   walk_min, chunk):
     # These graphs have up to about 60 edges, half of them 9 or fewer.  At
-    # the real _WALK_MIN they are laid out by doubling, the path of the
-    # smallest table cells; at 8 the larger ones are walked and the
+    # the real _WALK_MIN they are laid out by the sequential pass, the path
+    # of the smallest table cells; at 8 the larger ones are walked and the
     # smaller doubled; at 2 every graph is walked.
     g = _split_union(k, order, seed, parts, walks)
     assume(g.edge_count)
@@ -1341,11 +1416,13 @@ def test_wide_verify_memory_stays_linear():
 
 
 def test_window_ids_switch_to_dense_ids_past_64_bits():
+    # Below 64-bit codes the ids tie exactly the windows that the codes tie.
     rng = np.random.default_rng(11)
     narrow = rng.integers(0, 7, 50)
-    fwd, rev = window_ids(narrow, 7, 7)
-    assert fwd.tolist() == window_codes(narrow, 7, 7).tolist()
-    assert rev.tolist() == window_codes(narrow, 7, 7, reverse=True).tolist()
+    narrow[30:37] = narrow[0:7]
+    codes = window_codes(narrow, 7, 7), window_codes(narrow, 7, 7, reverse=True)
+    assert np.array_equal(first_holders(*window_ids(narrow, 7, 7)),
+                          first_holders(*codes))
     wide = rng.integers(0, 11, 50)
     wide[30:49] = wide[0:19]
     fwd, rev = window_ids(wide, 19, 11)
