@@ -21,8 +21,6 @@ from .tuples import (
     count_tuples,
     is_left_semi_symmetric,
     is_right_semi_symmetric,
-    is_symmetric,
-    is_uniform,
     kind_predicate,
     all_tuples,
     at_least,
@@ -194,19 +192,12 @@ def empirical_exclusion_audit(k: int, n: int) -> ExclusionAudit:
         name: {"in": set(), "out": set()} for name in _AUDIT_CLASSES
     }
     degree_ok = True
-    parity_ok = True
     for vertex in all_tuples(k, n - 1):
         din, dout = degrees.get(vertex, (0, 0))
         lss = is_left_semi_symmetric(vertex)
         rss = is_right_semi_symmetric(vertex)
         if din != (k - 1 if lss else k) or dout != (k - 1 if rss else k):
             degree_ok = False
-        if k % 2 == 0 and is_uniform(vertex):
-            if din % 2 == 0 or dout % 2 == 0:
-                parity_ok = False
-        if k % 2 == 1 and is_symmetric(vertex) and not is_uniform(vertex):
-            if din % 2 == 0 or dout % 2 == 0:
-                parity_ok = False
         for name, (kind, mirrored) in _AUDIT_CLASSES.items():
             if kind_predicate(kind)(vertex[::-1] if mirrored else vertex):
                 counts[name] += 1
@@ -225,6 +216,8 @@ def empirical_exclusion_audit(k: int, n: int) -> ExclusionAudit:
         name: {side: tuple(sorted(vals)) for side, vals in sides.items()}
         for name, sides in class_degrees.items()
     }
+    odd_class = "uniform" if k % 2 == 0 else "symmetric-non-uniform"
+    parity_ok = all(d % 2 for side in frozen_degrees[odd_class].values() for d in side)
     return ExclusionAudit(k=k, n=n, class_counts=counts,
                           expected_counts=expected,
                           class_degrees=frozen_degrees,

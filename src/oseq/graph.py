@@ -715,32 +715,30 @@ def window_ids(symbols: np.ndarray | Sequence[int], n: int,
     for k < 2**63; verify asks only past 64-bit window codes.
 
     Two windows, forward or reversed, get equal ids exactly when they
-    are equal.  Past 64 bits they are dense ranks among all 2m windows, by
-    prefix doubling (Manber & Myers, SIAM J. Comput. 1993) in O(m log n):
-    the reversed window at i is the forward window at (m - i - n) mod m
-    of the reversed period, and each round ranks the words of length
-    h + step of both cyclic strings from the ranks of their first and
-    last h symbols, in one sort, until h reaches n or all 2m words differ.
+    are equal: dense ranks among all 2m windows, by prefix doubling
+    (Manber & Myers, SIAM J. Comput. 1993) in O(m log n) from the longest
+    words with 64-bit codes, read both ways at each i.  Each round ranks
+    the words of length h + step from the ranks of their first and last
+    h symbols (read backwards: the h-words at i + step and at i), in one
+    sort, until h reaches n or all 2m words differ.  The reversed window
+    at i starts with the backward h-word at i + n - h.
     """
     s = np.asarray(symbols)
     m = s.size
     index = _index_dtype(2 * m)
     h = 1
-    while h < n and k ** (h + 1) < 2**31:
+    while h < n and _fits_int64(k, h + 1):
         h += 1
-    ranks = np.concatenate([window_codes(t, h, k) for t in (s, s[::-1])])
-    count = k**h
-    if count >= 2**31:
-        # h is 1: rank the symbols, so that a pair of ranks fits in 64 bits.
-        ranks, count = _dense_ranks(ranks, index)
-    while h < n:
+    ranks, count = _dense_ranks(np.concatenate(
+        [window_codes(s, h, k, reverse=r) for r in (False, True)]), index)
+    while h < n and count < 2 * m:
         step = min(h, n - h)
         key = ranks.astype(np.int64) * count
         key[:m] += np.roll(ranks[:m], -step)
-        key[m:] += np.roll(ranks[m:], -step)
+        key[m:] = np.roll(key[m:], -step) + ranks[m:]
         ranks, count = _dense_ranks(key, index)
-        h = h + step if count < 2 * m else n
-    return ranks[:m], np.roll(ranks[m:][::-1], 1 - n)
+        h += step
+    return ranks[:m], np.roll(ranks[m:], h - n)
 
 
 def _dense_ranks(values: np.ndarray, index: type) -> tuple[np.ndarray, int]:

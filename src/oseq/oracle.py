@@ -162,16 +162,6 @@ def _stable_sort(values: np.ndarray) -> np.ndarray:
     return order
 
 
-def _first_at(ids: np.ndarray, positions: np.ndarray,
-              queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each query id, the first position holding it in a stably
-    sorted, nonempty id table, and whether it occurs at all (the
-    position is meaningless where it does not)."""
-    at = np.searchsorted(ids, queries)
-    np.minimum(at, ids.size - 1, out=at)
-    return positions[at], ids[at] == queries
-
-
 @dataclass(frozen=True)
 class LocateResult:
     position: int
@@ -223,7 +213,10 @@ class Decoder:
         # in call overhead than the lookups.  The codes take the table's
         # dtype, or searchsorted would upcast the whole table on each call.
         codes = (w.astype(np.int64, copy=False) @ self._powers).astype(self._ids.dtype)
-        position, found = _first_at(self._ids, self._positions, codes)
+        # Each code's first position in the stably sorted table, where found.
+        at = np.searchsorted(self._ids, codes)
+        np.minimum(at, self._ids.size - 1, out=at)
+        position, found = self._positions[at], self._ids[at] == codes
         forward, reverse = found[:, 0], found[:, 1] & ~found[:, 0]
         position = np.where(forward, position[:, 0],
                             np.where(reverse, position[:, 1], -1))

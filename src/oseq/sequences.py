@@ -124,6 +124,9 @@ def parse_sequence_file(text: str) -> ParsedSequenceFile:
     m = _HEADER_RE.match(lines[0])
     if m is None:
         raise DomainError(f"malformed header line: {lines[0]!r}")
+    if not text.isascii():
+        offset = re.search(r"[^\x00-\x7f]", text).start()
+        raise DomainError(f"non-ASCII byte at offset {offset}")
     values = []
     for name, digits in zip(("k", "n", "period"), m.groups()):
         try:

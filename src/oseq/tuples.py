@@ -93,14 +93,9 @@ def checked_word(word: "ZkTuple | Sequence[int]", k: int, length: int,
     return symbols
 
 
-def _symbols_of(t: "ZkTuple | Sequence[int]") -> Sequence[int]:
-    return t.symbols if isinstance(t, ZkTuple) else t
-
-
 def is_uniform(t: "ZkTuple | Sequence[int]") -> bool:
     """True when every symbol equals the first."""
-    s = _symbols_of(t)
-    return all(x == s[0] for x in s)
+    return all(x == t[0] for x in t)
 
 
 def is_alternating(t: "ZkTuple | Sequence[int]") -> bool:
@@ -108,16 +103,14 @@ def is_alternating(t: "ZkTuple | Sequence[int]") -> bool:
 
     Length-1 words are never alternating.
     """
-    s = _symbols_of(t)
-    if len(s) < 2 or s[0] == s[1]:
+    if len(t) < 2 or t[0] == t[1]:
         return False
-    return all(s[i] == s[i % 2] for i in range(2, len(s)))
+    return all(t[i] == t[i % 2] for i in range(2, len(t)))
 
 
 def is_symmetric(t: "ZkTuple | Sequence[int]") -> bool:
     """True when the word is a palindrome."""
-    s = _symbols_of(t)
-    return list(s) == list(s)[::-1]
+    return list(t) == list(t)[::-1]
 
 
 def is_left_semi_symmetric(t: "ZkTuple | Sequence[int]") -> bool:
@@ -126,14 +119,12 @@ def is_left_semi_symmetric(t: "ZkTuple | Sequence[int]") -> bool:
     Words of length 1 or 2 qualify vacuously: the truncated prefix has at
     most one symbol.
     """
-    s = _symbols_of(t)
-    return is_symmetric(list(s)[:-1]) if len(s) > 1 else True
+    return is_symmetric(list(t)[:-1])
 
 
 def is_right_semi_symmetric(t: "ZkTuple | Sequence[int]") -> bool:
     """True when the suffix missing the first symbol is a palindrome."""
-    s = _symbols_of(t)
-    return is_symmetric(list(s)[1:]) if len(s) > 1 else True
+    return is_symmetric(list(t)[1:])
 
 
 def doubled_pseudoweight(t: ZkTuple) -> int:

@@ -1,5 +1,6 @@
 import pytest
 
+from oseq import bounds
 from oseq.bounds import (
     LEDGER_TERMS,
     empirical_exclusion_audit,
@@ -7,6 +8,7 @@ from oseq.bounds import (
     period_upper_bound,
 )
 from oseq.errors import DomainError
+from oseq.graph import full_de_bruijn
 
 # Frozen reference: maximum period of an orientable sequence, rows n = 2..9,
 # columns k = 2..8, alongside the previously published bound for each cell.
@@ -78,6 +80,19 @@ def test_empirical_audit(k, n):
     assert audit.class_counts == audit.expected_counts
     assert audit.degree_rule_holds
     assert audit.parity_rule_holds
+
+
+@pytest.mark.parametrize("k,n", [(3, 3), (3, 4), (4, 3), (4, 4)])
+def test_audit_verdicts_fail_on_the_full_de_bruijn_graph(monkeypatch, k, n):
+    # Every vertex of the full graph has degree k both ways.  So the degree
+    # rule fails (the uniform vertices are semi-symmetric), and the parity
+    # rule fails exactly when k is even: the uniform vertices then have
+    # even degree, while for odd k the symmetric non-uniform ones keep odd.
+    monkeypatch.setattr(bounds, "palindrome_free_de_bruijn", full_de_bruijn)
+    audit = empirical_exclusion_audit(k, n)
+    assert audit.class_counts == audit.expected_counts
+    assert not audit.degree_rule_holds
+    assert audit.parity_rule_holds == (k % 2 == 1)
 
 
 def test_ledger_terms_example():

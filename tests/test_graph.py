@@ -1434,6 +1434,45 @@ def test_window_ids_switch_to_dense_ids_past_64_bits():
                for a in range(100) for b in range(100))
 
 
+def reference_window_ids(symbols, n, k):
+    """Each of the m forward and m reversed cyclic n-windows replaced by
+    its place in the sorted set of all 2m, in plain Python."""
+    m = len(symbols)
+    windows = [tuple(int(symbols[(i + d) % m]) for d in range(n)) for i in range(m)]
+    words = windows + [w[::-1] for w in windows]
+    rank = {w: r for r, w in enumerate(sorted(set(words)))}
+    return [rank[w] for w in words[:m]], [rank[w] for w in words[m:]]
+
+
+def window_id_contract_cases():
+    """Seeded periods around every way window_ids starts and stops: a
+    period shorter than its windows, a planted duplicate, a palindrome,
+    alphabets past 2**31 (words of two symbols at 2**31 + 5, of one past
+    that), words of 62 symbols at k = 2 and of 18 at k = 11."""
+    rng = np.random.default_rng(34)
+    cases = [([2, 0, 1], 3, 7)]
+    planted = rng.integers(0, 5, 40)
+    planted[25:31] = planted[3:9]
+    cases.append((planted, 5, 6))
+    cases.append((np.concatenate([rng.integers(0, 4, 12), [1, 2, 3, 2, 1]]), 4, 5))
+    for k in (2**31 + 5, 2**40, 2**62 + 1):
+        cases.append((rng.integers(0, 4, 30) * (k // 4), k, 3))
+    for k, n in [(2, 63), (2, 64), (2, 65), (2, 130), (11, 19)]:
+        random = rng.integers(0, k, 3 * n)
+        duplicate = random.copy()
+        duplicate[2 * n:3 * n] = random[:n]
+        cases += [(random, k, n), (duplicate, k, n)]
+    return [pytest.param(s, k, n, id=f"k{k}-n{n}-m{len(s)}-{i}")
+            for i, (s, k, n) in enumerate(cases)]
+
+
+@pytest.mark.parametrize("symbols,k,n", window_id_contract_cases())
+def test_window_ids_are_dense_ranks_of_all_2m_windows(symbols, k, n):
+    fwd, rev = window_ids(symbols, n, k)
+    assert fwd.dtype == rev.dtype == _index_dtype(2 * len(symbols))
+    assert (fwd.tolist(), rev.tolist()) == reference_window_ids(symbols, n, k)
+
+
 def test_window_codes_wrap_periods_shorter_than_window():
     # Period 2 with windows of 5 wraps the period more than once.
     assert window_codes(np.array([1, 0], np.uint8), 5, 2).tolist() == [

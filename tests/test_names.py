@@ -4,7 +4,9 @@ so does every name a package module imports.
 Each definition must be named somewhere besides its own definition: in
 src/, tests/, demos/, perfbench/ or the README.  A name that nothing
 mentions is code that neither the CLI, the public API nor the tests
-need.  An import must be used in the module that makes it.
+need.  An import must be used in the module that makes it.  And the
+package stays within a line budget: a change that needs more lines
+raises the budget, and says so.
 """
 
 import ast
@@ -14,6 +16,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "tests", "demos", "perfbench")
+# Lines of src/oseq/*.py as `wc -l` counts them.  A change that adds
+# lines raises this figure in the same commit and declares it.
+LINE_BUDGET = 2707
 
 
 def module_level_definitions():
@@ -71,3 +76,10 @@ def test_every_import_is_used_in_its_module():
         imported, used = imported_and_used(ast.parse(path.read_text(encoding="utf-8")))
         unused += [f"{path.name}:{name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_package_stays_within_its_line_budget():
+    lines = sum(path.read_bytes().count(b"\n")
+                for path in (ROOT / "src" / "oseq").glob("*.py"))
+    assert lines <= LINE_BUDGET, (
+        f"src/oseq/*.py holds {lines} lines, over the budget of {LINE_BUDGET}")

@@ -205,6 +205,23 @@ def test_read_names_the_offset_of_a_non_ascii_byte(tmp_path):
     assert read_sequence_file(path).symbols.tolist() == [0, 1]
 
 
+@pytest.mark.parametrize("text,offset", [
+    ("k=3 n=2 period=2 method=é\n01\n", 24),
+    ("k=3 n=2 period=2 method=a\n01\u3000\n", 28),
+    ("k=3 n=2 period=2 method=a\n\xa0\n01\n", 26),
+])
+def test_parser_refuses_non_ascii_text_as_the_reader_does(tmp_path, text, offset):
+    # Past the header, a non-ASCII character is named by its offset, which
+    # is a byte offset too: every character before it is one byte.
+    message = f"^non-ASCII byte at offset {offset}$"
+    with pytest.raises(DomainError, match=message):
+        parse_sequence_file(text)
+    path = tmp_path / "seq.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(DomainError, match=message):
+        read_sequence_file(path)
+
+
 # Header values: the alphabet sizes either side of the digit format and a
 # 64-bit one, small numbers, and runs of 0 to 5,000 digits, some of them
 # non-ASCII, around int()'s 4,300-digit limit.
@@ -217,17 +234,21 @@ HEADER_FIELDS = st.one_of(
 @st.composite
 def sequence_file_texts(draw):
     """Sequence-file text whose header fields are drawn from HEADER_FIELDS,
-    whose symbols lie below k where k reads as a small number, and whose
-    lines break at any of str.splitlines' breaks, blank lines between."""
+    whose method may be non-ASCII, whose symbols lie below k where k reads
+    as a small number, and whose lines break at any of str.splitlines'
+    breaks, blank lines between; lines may end in ASCII or Unicode
+    whitespace, and blank lines may hold some."""
     k, n = draw(HEADER_FIELDS), draw(HEADER_FIELDS)
     alphabet = int(k) if k.isascii() and k.isdigit() and len(k) < 25 else 12
     symbols = draw(st.lists(st.integers(0, max(min(alphabet, 12) - 1, 0)),
                             min_size=1, max_size=20))
     period = draw(st.just(str(len(symbols))) | HEADER_FIELDS)
-    lines = [f"k={k} n={n} period={period} method=a"]
-    lines += [""] * draw(st.integers(0, 2))
-    lines += [("" if alphabet <= 10 else ",").join(map(str, symbols))]
-    lines += [""] * draw(st.integers(0, 1))
+    method = draw(st.sampled_from(["a", "a", "é"]))
+    spaces = st.sampled_from(["", "", " ", "\xa0", "\u3000"])
+    lines = [f"k={k} n={n} period={period} method={method}" + draw(spaces)]
+    lines += [draw(spaces) for _ in range(draw(st.integers(0, 2)))]
+    lines += [("" if alphabet <= 10 else ",").join(map(str, symbols)) + draw(spaces)]
+    lines += [draw(spaces) for _ in range(draw(st.integers(0, 1)))]
     breaks = st.sampled_from(["\n", "\r\n", "\x0b", "\x0c", "\x1c"])
     return "".join(line + draw(breaks) for line in lines)
 
